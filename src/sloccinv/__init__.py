@@ -29,6 +29,7 @@ from .criteria import (
 from .errors import (
     AllZero,
     BadArgs,
+    BadWitness,
     IndexOutOfRange,
     LengthMismatch,
     ParityError,
@@ -91,8 +92,8 @@ from .statevec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZero", "BadArgs", "CriteriaSignature", "DCriterion", "DEFAULT_TOL",
-    "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "FSubscripts", "IndexOutOfRange",
+    "AllZero", "BadArgs", "BadWitness", "CriteriaSignature", "DCriterion",
+    "DEFAULT_TOL", "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "FSubscripts", "IndexOutOfRange",
     "InvariantReport", "LengthMismatch", "LocalOperator", "LocalOperatorChain",
     "ORACLE_LABELS", "PROVABLY_INEQUIVALENT", "ParityError", "ParseError",
     "SizeMismatch", "SloccInvError", "StateVector", "TooFewQubits",

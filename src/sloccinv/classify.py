@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import criteria_signature
-from .errors import SizeMismatch
+from .criteria import CriterionValues, criteria_signature
+from .errors import BadWitness, SizeMismatch
 from .invariant import DEFAULT_TOL, iv_star, odd_invariant, vanishing
 from .slocc import INVERTIBLE_TOL, LocalOperatorChain, apply_chain, sigma_x_chain
 from .statevec import StateVector, complement
@@ -59,27 +59,23 @@ def _tau_evidence(s1: StateVector, s2: StateVector, tol: float):
     return records, v1, v2
 
 
+def _differing(v1: CriterionValues, v2: CriterionValues):
+    """(index..., magnitude 1, magnitude 2) wherever the two vanishing patterns differ."""
+    where = np.nonzero(v1.vanishing != v2.vanishing)
+    return zip(*(w.tolist() for w in where),
+               v1.magnitude[where].tolist(), v2.magnitude[where].tolist())
+
+
 def _heuristic_flags(s1: StateVector, s2: StateVector, tol: float) -> tuple[str, ...]:
     if s1.n < 3:
         return ()
     include_f = s1.n <= _F_FLAG_MAX_N
     sig1 = criteria_signature(s1, tol, include_f=include_f)
     sig2 = criteria_signature(s2, tol, include_f=include_f)
-    flags = []
-    for d1, d2, v1, v2 in zip(sig1.d_values, sig2.d_values,
-                              sig1.d_vanishing, sig2.d_vanishing):
-        for slot, (b1, b2) in enumerate(zip(v1, v2), start=1):
-            if b1 != b2:
-                val1 = getattr(d1, f"d{slot}")
-                val2 = getattr(d2, f"d{slot}")
-                flags.append(f"D{slot}[{d1.i}] vanishing differs: "
-                             f"{abs(val1):.3e} vs {abs(val2):.3e}")
-    if include_f:
-        for t, b1 in sig1.f_vanishing.items():
-            b2 = sig2.f_vanishing[t]
-            if b1 != b2:
-                flags.append(f"F{tuple(t)} vanishing differs: "
-                             f"{abs(sig1.f_values[t]):.3e} vs {abs(sig2.f_values[t]):.3e}")
+    flags = [f"D{slot + 1}[{i}] vanishing differs: {m1:.3e} vs {m2:.3e}"
+             for i, slot, m1, m2 in _differing(sig1.d, sig2.d)]
+    flags += [f"F{tuple(sig1.f_tuples[row].tolist())} vanishing differs: "
+              f"{m1:.3e} vs {m2:.3e}" for row, m1, m2 in _differing(sig1.f, sig2.f)]
     return tuple(flags)
 
 
@@ -98,12 +94,12 @@ def compare(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL,
         if len(witness.ops) != s1.n:
             raise SizeMismatch(f"witness has {len(witness.ops)} operators for n={s1.n}")
         if not all(op.is_invertible(INVERTIBLE_TOL) for op in witness.ops):
-            raise ValueError("witness chain contains a non-invertible operator")
+            raise BadWitness("witness chain contains a non-invertible operator")
         mapped = apply_chain(witness, s1)
         scale = float(np.max(np.abs(s2.amplitudes))) or 1.0
         if not np.allclose(mapped.amplitudes, s2.amplitudes,
                            rtol=1e-9, atol=1e-12 * scale):
-            raise ValueError("witness chain does not map the first state to the second")
+            raise BadWitness("witness chain does not map the first state to the second")
         return Verdict(outcome=EQUIVALENT_BY_CONSTRUCTION, evidence=(),
                        heuristic_flags=(), witness=witness)
     records, v1, v2 = _tau_evidence(s1, s2, tol)

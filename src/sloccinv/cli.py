@@ -82,9 +82,10 @@ def cmd_invariant(args) -> int:
         "tau": report.tau,
         "vanishing": dict(report.vanishing),
     }
+    sig = None
     if 3 <= s.n <= _REPORT_CRITERIA_MAX_N:
-        doc["criteria"] = criteria.signature_json_dict(
-            criteria.criteria_signature(s, args.tol))
+        sig = criteria.criteria_signature(s, args.tol)
+        doc["criteria"] = criteria.signature_json_dict(sig)
     else:
         doc["criteria_note"] = (f"criteria are included for 3 <= n <= "
                                 f"{_REPORT_CRITERIA_MAX_N}; use the criteria command")
@@ -92,7 +93,7 @@ def cmd_invariant(args) -> int:
         values = {label: oracle.evaluate(label, s) for label in oracle.labels_for(s.n)}
         if values:
             doc["oracle"] = {label: [v.real, v.imag] for label, v in values.items()}
-    print(json.dumps(doc, indent=2))
+    print(criteria.dumps_report(doc, sig))
     return 0
 
 
@@ -127,7 +128,7 @@ def cmd_criteria(args) -> int:
     doc = criteria.signature_json_dict(sig)
     if args.set == "f":
         doc["d_criteria"] = []
-    print(json.dumps(doc, indent=2))
+    print(criteria.dumps_report(doc, sig))
     return 0
 
 
@@ -141,9 +142,7 @@ def cmd_compare(args) -> int:
 
 def cmd_apply(args) -> int:
     s = _load(args.input, args.max_n)
-    with open(args.ops, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_constant=statevec._reject_constant)
-    chain = slocc.ops_from_json_dict(doc)
+    chain = slocc.ops_from_json_dict(statevec._read_json(args.ops))
     result = slocc.apply_chain(chain, s)
     statevec.save_state(result, args.output)
     if args.print_dets:

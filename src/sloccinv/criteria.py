@@ -12,18 +12,35 @@ subscripts leave [0, 2**n - 1] are excluded from enumeration.  The pair
 count per (sum, xor) class is a power of two, so the tuple count grows
 roughly like 2**(4n); enumeration beyond n ~ 7 is impractical and the
 CLI refuses it by default.
+
+Array form.  A pair u < v is fixed by its class (A, X) = (u & v, u ^ v)
+and a split of X's bits, so the F tuples are generated class by class
+into one cached (m, 8) int array.  D values come from the (blocks, 8)
+views of the front half and the mirrored back half, F values from one
+gather per subscript column.  Every complex operation is spelled out on
+float64 real and imaginary arrays exactly as numpy's scalar complex
+arithmetic rounds it: products without fused multiply-add, `z ** 2` as
+z * z except that an exact zero squares to +0, and `4 * z` as a product
+with 4+0j.  Each value therefore equals the scalar formula of
+`f_evaluate` and the literal D transcription bit for bit, signed zeros
+included.  Vanishing tests use np.hypot, which equals abs() of the
+complex value.
 """
 
 from __future__ import annotations
 
+import json
+import textwrap
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, starmap
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from .errors import IndexOutOfRange, TooFewQubits
-from .invariant import DEFAULT_TOL, vanishing
+from .invariant import DEFAULT_TOL, vanishing_threshold
 from .statevec import StateVector
 
 
@@ -52,25 +69,69 @@ class FSubscripts(NamedTuple):
         return self.i + self.j
 
 
-def d_criteria(s: StateVector) -> list[DCriterion]:
-    """All 2**(n-4) D-criterion triples, transcribed index-for-index."""
-    n = s.n
+# Complex arithmetic on (re, im) pairs of float64 arrays, rounded op for
+# op as numpy's scalar complex128 arithmetic rounds it.
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _square(x):
+    """z ** 2: numpy's power returns +0 for an exact zero base, z * z otherwise."""
+    re, im = _mul(x, x)
+    zero = (x[0] == 0) & (x[1] == 0)
+    return np.where(zero, 0.0, re), np.where(zero, 0.0, im)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Assemble through .real/.imag: re + 1j*im would turn -0.0 into 0.0."""
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
+# D_k = P(lo) Q(hi) - Q(lo) P(hi), with P, Q the 2x2 minors
+# b[w] b[x] - b[y] b[z] of an 8-amplitude block b, given as (w, x, y, z).
+_D_MINORS = (((1, 4, 0, 5), (3, 6, 2, 7)),
+             ((4, 7, 5, 6), (0, 3, 1, 2)),
+             ((3, 5, 1, 7), (2, 4, 0, 6)))
+
+
+def _d_values(amplitudes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) arrays of shape (2**(n-4), 3): row i holds D1..D3 of block i."""
     if n < 4:
         raise TooFewQubits(f"D-criteria need n >= 4, got {n}")
-    a = s.amplitudes
-    big = 1 << n
-    out = []
-    for i in range(1 << (n - 4)):
-        lo = a[8 * i: 8 * i + 8]
-        hi = a[big - 8 * i - 8: big - 8 * i]  # hi[c] = a_{2^n - 8i - 8 + c}
-        d1 = ((lo[1] * lo[4] - lo[0] * lo[5]) * (hi[3] * hi[6] - hi[2] * hi[7])
-              - (lo[3] * lo[6] - lo[2] * lo[7]) * (hi[1] * hi[4] - hi[0] * hi[5]))
-        d2 = ((lo[4] * lo[7] - lo[5] * lo[6]) * (hi[0] * hi[3] - hi[1] * hi[2])
-              - (lo[0] * lo[3] - lo[1] * lo[2]) * (hi[4] * hi[7] - hi[5] * hi[6]))
-        d3 = ((lo[3] * lo[5] - lo[1] * lo[7]) * (hi[2] * hi[4] - hi[0] * hi[6])
-              - (lo[2] * lo[4] - lo[0] * lo[6]) * (hi[3] * hi[5] - hi[1] * hi[7]))
-        out.append(DCriterion(i=i, d1=complex(d1), d2=complex(d2), d3=complex(d3)))
-    return out
+    count = 1 << (n - 4)
+    blocks = amplitudes.reshape(-1, 8)
+    lo, hi = blocks[:count], blocks[::-1][:count]  # hi[i] = a[2^n - 8i - 8 : 2^n - 8i]
+
+    def minor(b, w, x, y, z):
+        re, im = b.real, b.imag
+        return _sub(_mul((re[:, w], im[:, w]), (re[:, x], im[:, x])),
+                    _mul((re[:, y], im[:, y]), (re[:, z], im[:, z])))
+
+    values = [_sub(_mul(minor(lo, *p), minor(hi, *q)), _mul(minor(lo, *q), minor(hi, *p)))
+              for p, q in _D_MINORS]
+    return (np.stack([re for re, _ in values], axis=1),
+            np.stack([im for _, im in values], axis=1))
+
+
+def _d_objects(re: np.ndarray, im: np.ndarray) -> list[DCriterion]:
+    return [DCriterion(i, *row) for i, row in enumerate(_complex(re, im).tolist())]
+
+
+def d_criteria(s: StateVector) -> list[DCriterion]:
+    """All 2**(n-4) D-criterion triples, transcribed index-for-index."""
+    return _d_objects(*_d_values(s.amplitudes, s.n))
 
 
 def _shifted_in_range(t: FSubscripts, size: int) -> bool:
@@ -79,26 +140,54 @@ def _shifted_in_range(t: FSubscripts, size: int) -> bool:
     return t.j - 2 >= 0 and t.q - 2 >= 0 and t.l + 2 < size and t.s + 2 < size
 
 
+def _submasks(mask: int, size: int) -> np.ndarray:
+    """Every v in [0, size) with v & ~mask == 0, ascending."""
+    v = np.arange(size)
+    return v[(v & ~mask) == 0]
+
+
 @lru_cache(maxsize=None)
-def f_enumerate(n: int) -> tuple[FSubscripts, ...]:
-    """All admissible subscript tuples, ordered by (i+j, i, k, p, r)."""
+def _quads(count: int) -> np.ndarray:
+    """Every 4-subset of range(count), one ascending row each, in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(count), 4))
+    return np.fromiter(flat, dtype=np.int64).reshape(-1, 4)
+
+
+@lru_cache(maxsize=None)
+def _f_tuples(n: int) -> np.ndarray:
+    """The admissible tuples as a read-only (m, 8) array, ordered by (i+j, i, k, p, r).
+
+    The class (A, X) = (u & v, u ^ v) has sum 2A + X and XOR X; its pairs
+    are u = A | S, v = u ^ X for the subsets S of X without X's top bit,
+    2**(popcount(X) - 1) of them in ascending u.  Classes with fewer than
+    four pairs give no tuple.
+    """
     if n < 3:
         raise TooFewQubits(f"F-criteria need n >= 3, got {n}")
     size = 1 << n
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u in range(size):
-        for v in range(u + 1, size):
-            classes.setdefault((u + v, u ^ v), []).append((u, v))
-    found = []
-    for pairs in classes.values():
-        if len(pairs) < 4:
+    parts = []
+    for x in range(size):
+        if bin(x).count("1") < 3:
             continue
-        for quad in combinations(pairs, 4):  # pairs are already sorted by first index
-            t = FSubscripts(*quad[0], *quad[1], *quad[2], *quad[3])
-            if _shifted_in_range(t, size):
-                found.append(t)
-    found.sort(key=lambda t: (t.pair_sum, t.i, t.k, t.p, t.r))
-    return tuple(found)
+        splits = _submasks(x ^ (1 << (x.bit_length() - 1)), size)
+        firsts = (_submasks(~x & (size - 1), size)[:, None, None]
+                  | splits[_quads(splits.size)]).reshape(-1, 4)
+        t = np.empty((firsts.shape[0], 8), dtype=np.int64)
+        t[:, 0::2] = firsts
+        t[:, 1::2] = firsts ^ x
+        parts.append(t)
+    t = np.concatenate(parts)
+    d = 2 - (t[:, 0] + t[:, 1]) % 2
+    t = t[(t[:, 1] >= d) & (t[:, 5] >= d) & (t[:, 3] + d < size) & (t[:, 7] + d < size)]
+    t = t[np.lexsort((t[:, 6], t[:, 4], t[:, 2], t[:, 0], t[:, 0] + t[:, 1]))]
+    t.setflags(write=False)
+    return t
+
+
+@lru_cache(maxsize=None)
+def f_enumerate(n: int) -> tuple[FSubscripts, ...]:
+    """All admissible subscript tuples, ordered by (i+j, i, k, p, r)."""
+    return tuple(starmap(FSubscripts, _f_tuples(n).tolist()))
 
 
 def f_evaluate(s: StateVector, t: FSubscripts) -> complex:
@@ -116,20 +205,75 @@ def f_evaluate(s: StateVector, t: FSubscripts) -> complex:
     return complex(head - tail)
 
 
+def _f_values(amplitudes: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of f_evaluate at every row of `tuples`, bit for bit."""
+    re, im = amplitudes.real, amplitudes.imag
+
+    def amp(idx):
+        return re[idx], im[idx]
+
+    i, j, k, l, p, q, r, s = tuples.T
+    d = 2 - (i + j) % 2
+    head = _sub(_sub(_add(_mul(amp(i), amp(j)), _mul(amp(k), amp(l))),
+                     _mul(amp(p), amp(q))), _mul(amp(r), amp(s)))
+    left = _sub(_mul(amp(i), amp(j - d)), _mul(amp(p), amp(q - d)))
+    right = _sub(_mul(amp(k), amp(l + d)), _mul(amp(r), amp(s + d)))
+    return _sub(_square(head), _mul(_mul((4.0, 0.0), left), right))
+
+
 _F_SIGNATURE_MAX_N = 6  # tuple counts explode past this; override explicitly
 
 
-@dataclass(frozen=True)
+class CriterionValues(NamedTuple):
+    """One criteria family's values as float64 arrays, with its vanishing pattern."""
+
+    re: np.ndarray
+    im: np.ndarray
+    magnitude: np.ndarray  # np.hypot(re, im), equal to abs() of the complex value
+    vanishing: np.ndarray  # magnitude <= the degree-4 threshold
+
+
+def _criterion_values(re: np.ndarray, im: np.ndarray, threshold: float) -> CriterionValues:
+    magnitude = np.hypot(re, im)
+    return CriterionValues(re, im, magnitude, magnitude <= threshold)
+
+
+@dataclass(frozen=True, eq=False)
 class CriteriaSignature:
-    """All D and F values for one state plus their vanishing pattern."""
+    """All D and F values for one state plus their vanishing pattern.
+
+    `d` holds (2**(n-4), 3) arrays whose row i is D1..D3 of block i; `f`
+    holds one entry per row of `f_tuples`.  The object views d_values,
+    d_vanishing, f_values and f_vanishing are built on first use.
+    """
 
     n: int
     tol: float
-    d_values: tuple[DCriterion, ...]
-    d_vanishing: tuple[tuple[bool, bool, bool], ...]
-    f_values: Mapping[FSubscripts, complex]
-    f_vanishing: Mapping[FSubscripts, bool]
+    d: CriterionValues
+    f_tuples: np.ndarray
+    f: CriterionValues
     f_included: bool
+
+    @cached_property
+    def d_values(self) -> tuple[DCriterion, ...]:
+        return tuple(_d_objects(self.d.re, self.d.im))
+
+    @cached_property
+    def d_vanishing(self) -> tuple[tuple[bool, bool, bool], ...]:
+        return tuple(map(tuple, self.d.vanishing.tolist()))
+
+    @cached_property
+    def f_values(self) -> Mapping[FSubscripts, complex]:
+        values = _complex(self.f.re, self.f.im).tolist()
+        return MappingProxyType(dict(zip(self._f_keys, values)))
+
+    @cached_property
+    def f_vanishing(self) -> Mapping[FSubscripts, bool]:
+        return MappingProxyType(dict(zip(self._f_keys, self.f.vanishing.tolist())))
+
+    @property
+    def _f_keys(self) -> tuple[FSubscripts, ...]:
+        return f_enumerate(self.n) if self.f_included else ()
 
 
 def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
@@ -139,54 +283,76 @@ def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
 
     include_f defaults to n <= 6 (the F family grows combinatorially).
     """
-    nsq = s.norm_squared()
-    d_vals: tuple[DCriterion, ...] = ()
-    d_van: tuple[tuple[bool, bool, bool], ...] = ()
+    threshold = vanishing_threshold(s.norm_squared(), tol, 4)
     if s.n >= 4:
-        d_vals = tuple(d_criteria(s))
-        d_van = tuple(
-            (vanishing(d.d1, nsq, tol, 4), vanishing(d.d2, nsq, tol, 4),
-             vanishing(d.d3, nsq, tol, 4))
-            for d in d_vals)
+        d = _criterion_values(*_d_values(s.amplitudes, s.n), threshold)
+    else:
+        d = _criterion_values(np.empty((0, 3)), np.empty((0, 3)), threshold)
     if include_f is None:
         include_f = s.n <= _F_SIGNATURE_MAX_N
-    f_vals: dict[FSubscripts, complex] = {}
-    f_van: dict[FSubscripts, bool] = {}
-    if include_f and s.n >= 3:
-        for t in f_enumerate(s.n):
-            val = f_evaluate(s, t)
-            f_vals[t] = val
-            f_van[t] = vanishing(val, nsq, tol, 4)
-    return CriteriaSignature(n=s.n, tol=tol, d_values=d_vals, d_vanishing=d_van,
-                             f_values=MappingProxyType(f_vals),
-                             f_vanishing=MappingProxyType(f_van),
-                             f_included=bool(include_f and s.n >= 3))
+    f_included = bool(include_f and s.n >= 3)
+    tuples = _f_tuples(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
+    f = _criterion_values(*_f_values(s.amplitudes, tuples), threshold)
+    return CriteriaSignature(n=s.n, tol=tol, d=d, f_tuples=tuples, f=f,
+                             f_included=f_included)
 
 
 def achieved_pair_sums(n: int) -> list[int]:
     """Sorted set of sums i+j realized by at least one admissible tuple."""
-    return sorted({t.pair_sum for t in f_enumerate(n)})
+    t = _f_tuples(n)
+    return np.unique(t[:, 0] + t[:, 1]).tolist()
+
+
+_F_SLOT = "@f_criteria@"  # stands for the F entries until dumps_report renders them
 
 
 def signature_json_dict(sig: CriteriaSignature) -> dict:
-    def pair(z: complex):
-        return [z.real, z.imag]
+    """The signature as a JSON document with complex values as [re, im] pairs.
 
+    The F entry list stands as a placeholder that dumps_report renders
+    from the arrays; print the document through dumps_report.
+    """
+    d_pairs = np.stack([sig.d.re, sig.d.im], axis=-1).tolist()
     d_entries = [
-        {"i": d.i, "d1": pair(d.d1), "d2": pair(d.d2), "d3": pair(d.d3),
-         "vanishing": list(v)}
-        for d, v in zip(sig.d_values, sig.d_vanishing)
-    ]
-    f_entries = [
-        {"subscripts": list(t), "value": pair(v), "vanishing": sig.f_vanishing[t]}
-        for t, v in sig.f_values.items()
+        {"i": i, "d1": pairs[0], "d2": pairs[1], "d3": pairs[2], "vanishing": flags}
+        for i, (pairs, flags) in enumerate(zip(d_pairs, sig.d.vanishing.tolist()))
     ]
     return {
         "n": sig.n,
         "tol": sig.tol,
         "d_criteria": d_entries,
-        "f_criteria": f_entries if sig.f_included else None,
+        "f_criteria": _F_SLOT if sig.f_included else None,
         "f_included": sig.f_included,
         "note": ("F tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
                  "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] are excluded."),
     }
+
+
+def _json_floats(x: np.ndarray) -> list[str]:
+    """Each entry as json.dumps spells it (repr, or NaN and Infinity)."""
+    spell = repr if np.isfinite(x).all() else json.dumps
+    return list(map(spell, x.tolist()))
+
+
+def _f_block(sig: CriteriaSignature, indent: int) -> str:
+    """The F entry list as json.dumps(indent=2) prints it under a key `indent` spaces in."""
+    entry = json.dumps({"subscripts": ["%s"] * 8, "value": ["%s"] * 2, "vanishing": "%s"},
+                       indent=2)
+    entry = textwrap.indent(entry.replace('"%s"', "%s"), " " * (indent + 2))
+    numerals = np.array([str(v) for v in range(1 << sig.n)], dtype=object)
+    columns = [*numerals[sig.f_tuples.T].tolist(), _json_floats(sig.f.re),
+               _json_floats(sig.f.im), np.where(sig.f.vanishing, "true", "false").tolist()]
+    body = ",\n".join(map(entry.__mod__, zip(*columns)))
+    return "[\n" + body + "\n" + " " * indent + "]"
+
+
+def dumps_report(doc: dict, sig: CriteriaSignature | None = None) -> str:
+    """json.dumps(doc, indent=2) with the F slot of signature_json_dict filled from sig."""
+    text = json.dumps(doc, indent=2)
+    slot = json.dumps(_F_SLOT)
+    at = text.find(slot)
+    if at < 0:
+        return text
+    line = text.rfind("\n", 0, at) + 1
+    indent = len(text[line:at]) - len(text[line:at].lstrip(" "))
+    return text[:at] + _f_block(sig, indent) + text[at + len(slot):]

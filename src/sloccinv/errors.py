@@ -35,3 +35,7 @@ class ParseError(SloccInvError, ValueError):
 
 class BadArgs(SloccInvError, ValueError):
     """Invalid command-line arguments or configuration values."""
+
+
+class BadWitness(SloccInvError, ValueError):
+    """A witness chain is singular or does not map the first state to the second."""

@@ -219,10 +219,16 @@ def tau(s: StateVector) -> float:
     return 4.0 * abs(odd_invariant(s))
 
 
+def vanishing_threshold(norm_squared: float, tol: float = DEFAULT_TOL,
+                        degree: int = 2) -> float:
+    """tol * max(1, |s|^2)**(degree/2), the bound of the norm-scaled zero test."""
+    return tol * max(1.0, norm_squared) ** (degree / 2)
+
+
 def vanishing(value: complex, norm_squared: float,
               tol: float = DEFAULT_TOL, degree: int = 2) -> bool:
     """Norm-scaled zero test: |value| <= tol * max(1, |s|^2)**(degree/2)."""
-    return abs(value) <= tol * max(1.0, norm_squared) ** (degree / 2)
+    return abs(value) <= vanishing_threshold(norm_squared, tol, degree)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -126,8 +128,15 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite JSON token {token!r} is not allowed")
 
 
+def _is_number_type(kind: type) -> bool:
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def from_json_dict(doc) -> StateVector:
-    """Validate and build a state from the JSON schema. Rejects NaN/Inf."""
+    """Validate and build a state from the JSON schema.
+
+    Amplitude parts must be numbers: NaN/Inf, booleans and strings are rejected.
+    """
     if not isinstance(doc, dict) or "n" not in doc or "amplitudes" not in doc:
         raise ParseError('state JSON must be {"n": ..., "amplitudes": [[re, im], ...]}')
     n = doc["n"]
@@ -136,13 +145,20 @@ def from_json_dict(doc) -> StateVector:
     entries = doc["amplitudes"]
     if not isinstance(entries, list) or len(entries) != 1 << n:
         raise ParseError(f"expected {1 << n} amplitude entries for n={n}")
-    arr = np.asarray(entries, dtype=object)
+    try:  # one C-speed scan over the entries and one over the numbers
+        pair_sizes = set(map(len, entries))
+        kinds = set(map(type, chain.from_iterable(entries)))
+    except TypeError:  # an entry without a length or without items
+        raise ParseError("amplitude entries must be [re, im] number pairs") from None
+    bad = sorted(k.__name__ for k in kinds if not _is_number_type(k))
+    if bad or pair_sizes != {2}:
+        raise ParseError("amplitude entries must be [re, im] number pairs"
+                         + (f", got {', '.join(bad)}" if bad else ""))
     try:
-        pairs = arr.astype(np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"amplitude entries must be [re, im] number pairs: {exc}") from None
-    if pairs.shape != (1 << n, 2):
-        raise ParseError("amplitude entries must be [re, im] number pairs")
+        pairs = np.fromiter(chain.from_iterable(entries), dtype=np.float64,
+                            count=2 << n).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ParseError(f"amplitude out of the float range: {exc}") from None
     if not np.all(np.isfinite(pairs)):
         raise ParseError("amplitudes must be finite (no NaN/Inf)")
     amps = pairs[:, 0] + 1j * pairs[:, 1]
@@ -151,16 +167,34 @@ def from_json_dict(doc) -> StateVector:
     return _wrap(n, amps)
 
 
-def load_state(path) -> StateVector:
+def _read_json(path):
+    """Parse a JSON file; malformed text and NaN/Infinity tokens raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return from_json_dict(doc)
+
+
+def load_state(path) -> StateVector:
+    return from_json_dict(_read_json(path))
+
+
+_SAVE_SLAB = 1 << 14  # amplitudes per json.dumps call of save_state
 
 
 def save_state(s: StateVector, path) -> None:
+    """Write json.dumps(to_json_dict(s)) and a newline, encoded in slabs.
+
+    One-shot json.dumps runs the C encoder (json.dump does not); slabs
+    keep the nested lists and the text of one slab in memory at a time.
+    """
+    head, tail = json.dumps({"n": s.n, "amplitudes": [None]}).split("null")
+    pairs = np.column_stack([s.amplitudes.real, s.amplitudes.imag])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(s), fh)
-        fh.write("\n")
+        fh.write(head)
+        for start in range(0, len(pairs), _SAVE_SLAB):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(pairs[start:start + _SAVE_SLAB].tolist())[1:-1])
+        fh.write(tail + "\n")

@@ -6,13 +6,16 @@ import pytest
 from sloccinv import (
     EQUIVALENT_BY_CONSTRUCTION,
     PROVABLY_INEQUIVALENT,
+    BadWitness,
     SizeMismatch,
+    SloccInvError,
     UNDETERMINED,
     apply_chain,
     chain_of,
     cluster_c,
     compare,
     complement,
+    criteria_signature,
     det_product,
     dual_equivalence,
     ghz,
@@ -20,6 +23,7 @@ from sloccinv import (
     random_chain,
     random_state,
     tau,
+    tensor,
     w_state,
 )
 
@@ -115,6 +119,49 @@ def test_compare_with_singular_witness_raises():
     singular = chain_of([np.eye(2), np.eye(2), [[1, 1], [1, 1]]])
     with pytest.raises(ValueError):
         compare(s, s, witness=singular)
+
+
+def test_witness_errors_are_package_errors():
+    s = random_state(3, seed=4)
+    singular = chain_of([np.eye(2), np.eye(2), [[1, 1], [1, 1]]])
+    with pytest.raises(BadWitness) as exc:
+        compare(s, s, witness=singular)
+    assert isinstance(exc.value, SloccInvError) and isinstance(exc.value, ValueError)
+    _, witness = dual_equivalence(s)
+    with pytest.raises(BadWitness):
+        compare(s, rand_state(3), witness=witness)
+
+
+def object_loop_flags(s1, s2, tol=1e-10):
+    """The D/F flags from a per-object loop over the signature views."""
+    include_f = s1.n <= 4
+    sig1 = criteria_signature(s1, tol, include_f=include_f)
+    sig2 = criteria_signature(s2, tol, include_f=include_f)
+    flags = []
+    for d1, d2, v1, v2 in zip(sig1.d_values, sig2.d_values,
+                              sig1.d_vanishing, sig2.d_vanishing):
+        for slot, (b1, b2) in enumerate(zip(v1, v2), start=1):
+            if b1 != b2:
+                val1, val2 = getattr(d1, f"d{slot}"), getattr(d2, f"d{slot}")
+                flags.append(f"D{slot}[{d1.i}] vanishing differs: "
+                             f"{abs(val1):.3e} vs {abs(val2):.3e}")
+    for t, b1 in sig1.f_vanishing.items():
+        if b1 != sig2.f_vanishing[t]:
+            flags.append(f"F{tuple(t)} vanishing differs: "
+                         f"{abs(sig1.f_values[t]):.3e} vs {abs(sig2.f_values[t]):.3e}")
+    return tuple(flags)
+
+
+def test_heuristic_flags_match_object_loop():
+    pairs = [(ghz(4), cluster_c()), (cluster_c(), random_state(4, 2)),
+             (tensor(ghz(3), ghz(2)), random_state(5, 7)), (ghz(6), random_state(6, 1))]
+    kinds = set()
+    for s1, s2 in pairs:
+        verdict = compare(s1, s2)
+        assert verdict.outcome == UNDETERMINED
+        assert verdict.heuristic_flags == object_loop_flags(s1, s2)
+        kinds |= {flag[0] for flag in verdict.heuristic_flags}
+    assert kinds == {"D", "F"}
 
 
 def test_verdict_json_shape():

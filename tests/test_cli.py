@@ -200,6 +200,18 @@ def test_bad_json_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_apply_malformed_ops_file_exits_one(tmp_path, capsys):
+    src, ops, dst = tmp_path / "g2.json", tmp_path / "ops.json", tmp_path / "out.json"
+    run(capsys, "make", "ghz", "--n", "2", "-o", str(src))
+    ops.write_text('{"n": 1, "ops": [')
+    code, out, err = run(capsys, "apply", "--input", str(src), "--ops", str(ops),
+                         "--output", str(dst))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not dst.exists()
+
+
 def test_state_file_roundtrip_via_cli(tmp_path, capsys):
     f = tmp_path / "r.json"
     run(capsys, "make", "random", "--n", "4", "--seed", "17", "-o", str(f))

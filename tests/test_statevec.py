@@ -261,3 +261,41 @@ def test_json_rejects_bad_entries():
         from_json_dict({"n": 0, "amplitudes": []})
     with pytest.raises(ParseError):
         from_json_dict({"amplitudes": [[1, 0], [0, 0]]})
+
+
+def test_save_state_writes_one_shot_json(tmp_path):
+    path = tmp_path / "s.json"
+    for s in (random_state(6, 5), ghz(3), complement(w_state(4)),
+              new_state(2, [-0.0, -1j, 1e-300, 0.1 + 0.2j])):
+        save_state(s, path)
+        assert path.read_bytes() == (json.dumps(to_json_dict(s)) + "\n").encode()
+
+
+@pytest.mark.parametrize("entries", [
+    [[True, 0], [0, 0]],
+    [[1, 0], [0, False]],
+    [["1", 0], [0, 0]],
+    [[1, "0"], [0, 0]],
+    [[1, 0], "ab"],
+    [[1, 0], 3],
+    [[1, 0], None],
+    [[1, 0], [[0], 0]],
+    [[1, 0], [0, None]],
+    [[10 ** 400, 0], [0, 0]],
+])
+def test_json_rejects_non_number_amplitudes(entries):
+    with pytest.raises(ParseError):
+        from_json_dict({"n": 1, "amplitudes": entries})
+
+
+def test_json_rejects_boolean_and_string_tokens_in_files(tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ('[[true, 0], [0, 0]]', '[[1, 0], ["1", 0]]'):
+        path.write_text('{"n": 1, "amplitudes": %s}' % text)
+        with pytest.raises(ParseError):
+            load_state(path)
+
+
+def test_json_accepts_mixed_ints_and_floats():
+    s = from_json_dict({"n": 1, "amplitudes": [[1, 0], [0.5, -2]]})
+    assert s.amplitudes.tolist() == [1 + 0j, 0.5 - 2j]
