@@ -39,3 +39,7 @@ class BadArgs(SloccInvError, ValueError):
 
 class BadWitness(SloccInvError, ValueError):
     """A witness chain is singular or does not map the first state to the second."""
+
+
+class NormOverflow(SloccInvError, OverflowError):
+    """A state's squared norm is too large for a finite vanishing threshold."""

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParityError, TooFewQubits
+from .errors import NormOverflow, ParityError, TooFewQubits
 from .signtab import sign_star_table, sign_table
 from .statevec import StateVector
 
@@ -221,8 +221,15 @@ def tau(s: StateVector) -> float:
 
 def vanishing_threshold(norm_squared: float, tol: float = DEFAULT_TOL,
                         degree: int = 2) -> float:
-    """tol * max(1, |s|^2)**(degree/2), the bound of the norm-scaled zero test."""
-    return tol * max(1.0, norm_squared) ** (degree / 2)
+    """tol * max(1, |s|^2)**(degree/2), the bound of the norm-scaled zero test.
+
+    Raises NormOverflow when max(1, |s|^2)**(degree/2) overflows a float.
+    """
+    try:
+        return tol * max(1.0, norm_squared) ** (degree / 2)
+    except OverflowError:
+        raise NormOverflow(f"|s|^2 = {norm_squared:.6g} is too large for a finite "
+                           f"degree-{degree} vanishing threshold") from None
 
 
 def vanishing(value: complex, norm_squared: float,

@@ -1,9 +1,10 @@
 """Invertible local-operator chains and the determinant transform laws.
 
 apply_chain sweeps the n 2x2 operators over the amplitude vector in
-O(n * 2**n) time and O(2**n) extra space; the full 2**n x 2**n matrix
-is never formed.  verify_theorem1/verify_theorem2 are randomized
-harnesses for the transform laws
+O(n * 2**n) time and O(2**n) extra space: the leading qubits four at a
+time as 16x16 Kronecker blocks, the last six or fewer as one row GEMM.
+The full 2**n x 2**n matrix is never formed.  verify_theorem1 and
+verify_theorem2 are randomized harnesses for the transform laws
 
     theorem 1 (even n):  IV*(a, n) = IV*(b, n) * prod(det)
     theorem 2 (odd n):   odd_invariant(a) = odd_invariant(b) * prod(det)**2
@@ -16,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -85,7 +87,10 @@ def det_product(chain: LocalOperatorChain) -> complex:
     return prod
 
 
-_SCRATCH_COMPLEX = 1 << 20  # 16 MiB slab bounds the in-place working set
+_GROUP = 4                  # leading qubits folded per pass: one 16x16 block
+_TAIL = 6                   # trailing qubits up to this many fold into one row GEMM
+_SCRATCH_COMPLEX = 1 << 15  # 512 KiB slab keeps the in-place working set in L2;
+                            # at least 2**_TAIL, so one row of any pass fits
 
 
 def _mix_inplace(buf: np.ndarray, op: np.ndarray, pre: int, block: int,
@@ -96,9 +101,9 @@ def _mix_inplace(buf: np.ndarray, op: np.ndarray, pre: int, block: int,
     over their original location, so only the slab is extra memory.
     """
     dim = op.shape[0]
-    if block == 1:
+    if block == 1:  # trailing qubits: rows of dim amplitudes, one GEMM per slab
         rows = buf.reshape(-1, dim)
-        step = max(1, _SCRATCH_COMPLEX // dim)
+        step = _SCRATCH_COMPLEX // dim
         for a in range(0, rows.shape[0], step):
             piece = rows[a:a + step]
             slab = scratch[:piece.size].reshape(piece.shape)
@@ -106,18 +111,11 @@ def _mix_inplace(buf: np.ndarray, op: np.ndarray, pre: int, block: int,
             np.matmul(slab, op.T, out=piece)
         return
     view = buf.reshape(pre, dim, block)
-    per_row = dim * block
-    if per_row <= _SCRATCH_COMPLEX:
-        step = _SCRATCH_COMPLEX // per_row
+    width = min(block, _SCRATCH_COMPLEX // dim)  # block-axis chunk
+    step = _SCRATCH_COMPLEX // (dim * width)     # rows per chunk
+    for c in range(0, block, width):
         for a in range(0, pre, step):
-            piece = view[a:a + step]
-            slab = scratch[:piece.size].reshape(piece.shape)
-            slab[...] = piece
-            np.matmul(op, slab, out=piece)
-    else:  # early passes: few rows, huge blocks; chunk the block axis instead
-        width = max(1, _SCRATCH_COMPLEX // (pre * dim))
-        for c in range(0, block, width):
-            piece = view[:, :, c:c + width]
+            piece = view[a:a + step, :, c:c + width]
             slab = scratch[:piece.size].reshape(piece.shape)
             slab[...] = piece
             np.matmul(op, slab, out=piece)
@@ -126,10 +124,13 @@ def _mix_inplace(buf: np.ndarray, op: np.ndarray, pre: int, block: int,
 def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     """Apply the n-fold tensor product of the chain's operators to s.
 
-    Operators are folded in qubit order, two qubits per pass (a 4x4
-    block).  The first pass writes the single full-size work buffer;
-    later passes update it in place through a small slab, so peak extra
-    memory is one amplitude vector.  The input state is never written.
+    Operators are folded in qubit order.  Each pass over the leading
+    qubits applies the Kronecker product of four operators (a 16x16
+    block); once at most six qubits remain they are folded together as
+    one GEMM over rows of up to 64 amplitudes.  The first pass writes the
+    single full-size work buffer from the input; later passes update it
+    in place through a small slab, so peak extra memory is one amplitude
+    vector plus the slab.  The input state is never written.
     """
     n = s.n
     if len(chain.ops) != n:
@@ -138,12 +139,8 @@ def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     scratch = np.empty(min(_SCRATCH_COMPLEX, buf.size), dtype=np.complex128)
     k = 0
     while k < n:
-        if k + 1 < n:
-            op = np.kron(chain.ops[k].entries, chain.ops[k + 1].entries)
-            width = 2
-        else:
-            op = chain.ops[k].entries
-            width = 1
+        width = n - k if n - k <= _TAIL else _GROUP
+        op = reduce(np.kron, [m.entries for m in chain.ops[k:k + width]])
         if k == 0:
             dim = op.shape[0]
             np.matmul(op, s.amplitudes.reshape(dim, -1), out=buf.reshape(dim, -1))

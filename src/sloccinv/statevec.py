@@ -107,8 +107,11 @@ def complement(s: StateVector) -> StateVector:
 
 def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm amplitudes with re/im parts drawn uniformly from [-1, 1]."""
-    amps = rng.uniform(-1.0, 1.0, 1 << n) + 1j * rng.uniform(-1.0, 1.0, 1 << n)
-    return amps / np.linalg.norm(amps)
+    amps = np.empty(1 << n, dtype=np.complex128)
+    amps.real = rng.uniform(-1.0, 1.0, 1 << n)
+    amps.imag = rng.uniform(-1.0, 1.0, 1 << n)
+    amps /= np.linalg.norm(amps)
+    return amps
 
 
 def random_state(n: int, seed: int) -> StateVector:

@@ -212,6 +212,20 @@ def test_apply_malformed_ops_file_exits_one(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("command", ["invariant", "criteria", "compare"])
+def test_norm_overflow_exits_one_with_one_line(tmp_path, capsys, command):
+    # |s|^2 = 2e160: the degree-4 threshold max(1, |s|^2)**2 overflows a float
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": 3, "amplitudes": [[1e80, 0.0]] + [[0.0, 0.0]] * 6
+                                                  + [[1e80, 0.0]]}))
+    argv = [command, str(f), str(f)] if command == "compare" else [command, "--input", str(f)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too large" in err
+
+
 def test_state_file_roundtrip_via_cli(tmp_path, capsys):
     f = tmp_path / "r.json"
     run(capsys, "make", "random", "--n", "4", "--seed", "17", "-o", str(f))

@@ -24,7 +24,8 @@ from sloccinv import (
     vanishing,
     w_state,
 )
-from sloccinv.invariant import _compensated_complex_sum
+from sloccinv.errors import NormOverflow, SloccInvError
+from sloccinv.invariant import _compensated_complex_sum, vanishing_threshold
 
 RNG = np.random.default_rng(20260810)
 
@@ -262,6 +263,22 @@ def test_vanishing_rule():
     assert not vanishing(4.1e-10, 2.0, degree=4)
     # sub-unit norms do not shrink the threshold below tol
     assert vanishing(9e-11, 0.01)
+
+
+def test_vanishing_threshold_values_and_overflow():
+    for nsq in (0.0, 0.01, 1.0, 2.0, 1e100, 1.3e154, 1e300):
+        for degree in (2, 4):
+            if degree == 4 and nsq > 1.3e154:
+                continue
+            want = 1e-10 * max(1.0, nsq) ** (degree / 2)
+            assert vanishing_threshold(nsq, 1e-10, degree) == want
+    for nsq in (1.4e154, 1e200, 1e300):
+        with pytest.raises(NormOverflow) as info:
+            vanishing_threshold(nsq, 1e-10, 4)
+        assert isinstance(info.value, SloccInvError)
+        assert isinstance(info.value, OverflowError)
+    with pytest.raises(NormOverflow):
+        vanishing(0.0, 2e160, degree=4)
 
 
 def test_report_even():

@@ -27,6 +27,7 @@ from sloccinv import (
     verify_theorem2,
     w_state,
 )
+from sloccinv import slocc
 
 RNG = np.random.default_rng(314159)
 
@@ -50,13 +51,14 @@ def test_local_operator_validation():
 
 
 def test_identity_chain_is_exact():
-    s = rand_state(6)
-    out = apply_chain(identity_chain(6), s)
-    np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
+    for n in (6, 13, 14):
+        s = rand_state(n)
+        out = apply_chain(identity_chain(n), s)
+        np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
 
 
 def test_sigma_x_chain_is_complement():
-    for n in (1, 3, 4, 7):
+    for n in (1, 3, 4, 7, 13, 14):
         s = rand_state(n)
         out = apply_chain(sigma_x_chain(n), s)
         np.testing.assert_array_equal(out.amplitudes, complement(s).amplitudes)
@@ -83,6 +85,45 @@ def test_apply_matches_dense_oracle():
             ref = dense_matrix(ch) @ s.amplitudes
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, n
+
+
+def per_qubit_reference(chain, s):
+    """One qubit at a time: contract each operator with its axis of the (2,)*n view."""
+    psi = s.amplitudes.reshape((2,) * s.n)
+    for k, op in enumerate(chain.ops):
+        psi = np.moveaxis(np.tensordot(op.entries, psi, axes=([1], [k])), 0, k)
+    return psi.reshape(-1)
+
+
+def assert_matches_reference(chain, s):
+    got = apply_chain(chain, s).amplitudes
+    ref = per_qubit_reference(chain, s)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), s.n
+
+
+def test_apply_matches_per_qubit_reference_every_pass_plan():
+    # n <= 6: one pass; 7..10: a 4-qubit pass and a tail; 11..16: several
+    # 4-qubit passes before the tail, with both tail parities
+    for n in range(1, 17):
+        assert_matches_reference(random_chain(n, seed=500 + n), rand_state(n))
+
+
+@pytest.mark.parametrize("scratch", [64, 256, 1024])
+def test_apply_chunked_slab_matches_reference(monkeypatch, scratch):
+    # a slab down to one 64-amplitude row forces block-axis chunks (width <
+    # block), several rows per chunk in the 4-qubit passes, and many slabs
+    # in the tail GEMM
+    monkeypatch.setattr(slocc, "_SCRATCH_COMPLEX", scratch)
+    for n in (7, 10, 11, 13, 16):
+        assert_matches_reference(random_chain(n, seed=900 + n), rand_state(n))
+
+
+def test_apply_chain_leaves_input_untouched():
+    for n in (5, 13, 14):
+        s = rand_state(n)
+        before = s.amplitudes.copy()
+        apply_chain(random_chain(n, seed=n), s)
+        np.testing.assert_array_equal(s.amplitudes, before)
 
 
 def test_apply_chain_composition():

@@ -210,6 +210,21 @@ def test_random_state_deterministic():
     assert not np.array_equal(a.amplitudes, random_state(4, 43).amplitudes)
 
 
+def test_random_amplitudes_bits_match_the_sum_and_divide_form():
+    from sloccinv.statevec import _random_amplitudes
+
+    def reference(rng, n):
+        amps = rng.uniform(-1.0, 1.0, 1 << n) + 1j * rng.uniform(-1.0, 1.0, 1 << n)
+        return amps / np.linalg.norm(amps)
+
+    for n in (1, 2, 5, 9, 14):
+        for seed in (0, 1, 42, 2**31 - 1):
+            got = _random_amplitudes(np.random.default_rng(seed), n)
+            want = reference(np.random.default_rng(seed), n)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (n, seed)
+
+
 def test_random_state_norm_and_small_n():
     for n, seed in [(1, 7), (3, 0), (6, 9)]:
         s = random_state(n, seed)
