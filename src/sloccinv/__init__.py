@@ -43,7 +43,6 @@ from .invariant import (
     InvariantReport,
     invariant_report,
     iv_bar,
-    iv_even,
     iv_star,
     iv_star_lower,
     iv_star_shifted,
@@ -101,7 +100,7 @@ __all__ = [
     "cluster_c", "compare", "complement", "criteria_signature", "d_criteria",
     "det_product", "dual_equivalence", "f_enumerate", "f_evaluate",
     "from_json_dict", "ghz", "identity_chain", "invariant_report", "iv_bar",
-    "iv_even", "iv_star", "iv_star_lower", "iv_star_shifted", "load_state",
+    "iv_star", "iv_star_lower", "iv_star_shifted", "load_state",
     "local_operator", "new_state", "normalize", "odd_invariant", "oracle_iv2",
     "oracle_iv4", "oracle_iv6", "oracle_odd3", "oracle_odd5", "random_chain",
     "random_state", "save_state", "sigma_x_chain", "sign", "sign_star",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .criteria import CriterionValues, criteria_signature
 from .errors import BadWitness, SizeMismatch
-from .invariant import DEFAULT_TOL, iv_star, odd_invariant, vanishing
+from .invariant import DEFAULT_TOL, iv_star, odd_invariant, vanishing_threshold
 from .slocc import INVERTIBLE_TOL, LocalOperatorChain, apply_chain, sigma_x_chain
 from .statevec import StateVector, complement
 
@@ -41,17 +41,13 @@ class Verdict:
 
 
 def _tau_evidence(s1: StateVector, s2: StateVector, tol: float):
-    if s1.n % 2 == 0:
-        z1, z2 = iv_star(s1), iv_star(s2)
-        deg = 2
-        name = "iv_star"
-    else:
-        z1, z2 = odd_invariant(s1), odd_invariant(s2)
-        deg = 4
-        name = "odd_invariant"
-    scale = 2.0 if s1.n % 2 == 0 else 4.0
-    v1 = vanishing(z1, s1.norm_squared(), tol, deg)
-    v2 = vanishing(z2, s2.norm_squared(), tol, deg)
+    even = s1.n % 2 == 0
+    deg, scale, name = (2, 2.0, "iv_star") if even else (4, 4.0, "odd_invariant")
+    t1 = vanishing_threshold(s1.norm_squared(), tol, deg)
+    t2 = vanishing_threshold(s2.norm_squared(), tol, deg)
+    value = iv_star if even else odd_invariant
+    z1, z2 = value(s1), value(s2)
+    v1, v2 = abs(z1) <= t1, abs(z2) <= t2
     records = (
         Evidence("tau", (scale * abs(z1), scale * abs(z2)), (v1, v2)),
         Evidence(name, (z1, z2), (v1, v2)),

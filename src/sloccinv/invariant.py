@@ -1,18 +1,24 @@
 """SLOCC invariants and residual entanglement tau.
 
-Even n uses the 2**(n-2)-term bilinear sum IV*(a, n); tau = 2|IV*|.
-Odd n uses the half-block combination
+Every invariant is one signed bilinear form.  With the Thue-Morse signs
+tm(j) = (-1)**popcount(j) and B(x, y) = sum_j tm(j) x_j y_{L-1-j}:
 
-    IVbar(a, n)**2 - 4 * IV*(lower half, n-1) * IV*(upper half, n-1)
+    even n:  IV*(a, n) = B(a, a) / 2,               tau = 2|IV*|
+    odd n:   IVbar(a, n) = B(lo, hi),  IV*(lo) = B(lo, lo) / 2, ...
+             odd invariant = IVbar**2 - 4 IV*(lo) IV*(hi),  tau = 4|...|
 
-and tau = 4|combination|.  Under an invertible local-operator chain,
-IV* picks up the product of the 2x2 determinants (even n) and the odd
-combination picks up its square; tau is therefore invariant under
-determinant-one chains of either parity.
+where lo and hi are the qubit-1 half-blocks, so the odd invariant is the
+discriminant B(lo,hi)**2 - B(lo,lo) B(hi,hi) of a binary quadratic form
+on qubit 1.  Under an invertible local-operator chain IV* picks up the
+product of the 2x2 determinants (even n) and the odd invariant its
+square; tau is therefore invariant under determinant-one chains.
 
-Every sum is accumulated with compensated summation in fixed index
-order, so cancellation-heavy states (W, single-qubit tensor factors)
-evaluate to clean zeros and results are reproducible bit-for-bit.
+One kernel, `_bracket_sum`, evaluates all of them.  It folds the terms
+i and L/4-1-i of the one-bracket sum into one two-bracket term, so a
+2**n-amplitude vector costs 2**(n-3) terms, streamed in fixed-size
+slabs.  Every sum is compensated in fixed index order, so
+cancellation-heavy states (W, single-qubit tensor factors) evaluate to
+clean zeros and results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NormOverflow, ParityError, TooFewQubits
-from .signtab import sign_star_table, sign_table
+from .signtab import sign_table
 from .statevec import StateVector
 
 DEFAULT_TOL = 1e-10   # vanishing threshold, scaled by the norm (see `vanishing`)
 
 _FSUM_CUTOFF = 4096   # floats; below this math.fsum beats the lane path
 _LANES = 1024         # even, so interleaved re/im floats never share a lane
-_CHUNK = 1 << 19      # complex terms per slab (8 MiB); multiple of _LANES/2
+_CHUNK = 1 << 18      # complex terms per slab (4 MiB); multiple of _LANES/2
 
 
 class _CompensatedAccumulator:
@@ -80,130 +86,78 @@ def _compensated_complex_sum(terms: np.ndarray) -> complex:
     return acc.total()
 
 
-def _iv_star_of(a: np.ndarray, n: int) -> complex:
-    """IV*(a, n) = sum_i sign*(n,i) (a_{2i} a_{N-1-2i} - a_{2i+1} a_{N-2-2i})."""
-    half = 1 << (n - 1)
-    m = 1 << (n - 2)
-    e1 = a[0:half:2]
-    o1 = a[2 * half - 1: half - 1: -2]
-    e2 = a[1:half:2]
-    o2 = a[2 * half - 2: half - 2: -2]
-    signs = sign_star_table(n)
-    if m <= _CHUNK:
-        terms = e1 * o1
-        terms -= e2 * o2
-        terms *= signs
-        return _compensated_complex_sum(terms)
-    # large n: stream fixed-size slabs so no term array is ever materialized
-    acc = _CompensatedAccumulator()
-    buf = np.empty(_CHUNK, dtype=np.complex128)
-    buf2 = np.empty(_CHUNK, dtype=np.complex128)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        w = hi - lo
-        t = np.multiply(e1[lo:hi], o1[lo:hi], out=buf[:w])
-        np.multiply(e2[lo:hi], o2[lo:hi], out=buf2[:w])
-        t -= buf2[:w]
-        t *= signs[lo:hi]
-        acc.add(t)
-    return acc.total()
+def _bracket_sum(a: np.ndarray, sign: int) -> complex:
+    """sum_i tm(i) * (outer_i + sign * inner_i) over the 2**max(n-3, 0) terms
+    of a 2**n-amplitude vector.
 
-
-def _two_bracket_sum(a: np.ndarray, n: int, second_sign: int) -> complex:
-    """Signed sum of the 2**(n-3) two-bracket terms shared by the even IV
-    and the odd IVbar.
-
-    Bracket one pairs the outermost antipodal indices, bracket two the
-    innermost; `second_sign` is +1 for even n and -1 for odd n.
+    outer_i = a_{2i} a_{L-1-2i} - a_{2i+1} a_{L-2-2i} is the i-th one-bracket
+    term; inner_i is the term L/4-1-i, its mirror about the middle, which a
+    4-amplitude vector does not have.  sign is +1 for IV* and -1 for IVbar.
     """
-    half = 1 << (n - 1)
-    quarter = 1 << (n - 2)
-    m = 1 << (n - 3)
-    e1 = a[0:quarter:2]
-    o1 = a[2 * half - 1: 2 * half - 1 - 2 * m: -2]
-    e2 = a[1:quarter:2]
-    o2 = a[2 * half - 2: 2 * half - 2 - 2 * m: -2]
-    m1 = a[half - 2: quarter - 2: -2]
-    m2 = a[half + 1: half + 1 + 2 * m: 2]
-    m3 = a[half - 1: quarter - 1: -2]
-    m4 = a[half: half + 2 * m: 2]
-    signs = sign_table(n)
-    if m <= _CHUNK:
-        terms = e1 * o1
-        terms -= e2 * o2
-        inner = m1 * m2
-        inner -= m3 * m4
-        if second_sign > 0:
-            terms += inner
-        else:
-            terms -= inner
-        terms *= signs
-        return _compensated_complex_sum(terms)
+    size = a.size
+    half = size >> 1
+    mirrored = size >> 3  # terms that have a mirror: all but the one of n=2
+    m = (size >> 2) - mirrored
+    e1, o1, e2, o2 = a[0::2], a[size - 1::-2], a[1::2], a[size - 2::-2]
+    m1, m2 = a[half - 2::-2][:mirrored], a[half + 1::2][:mirrored]
+    m3, m4 = a[half - 1::-2][:mirrored], a[half::2][:mirrored]
+    signs = sign_table(size.bit_length() - 1)
+    fold = np.add if sign > 0 else np.subtract
+    step = m if 2 * m <= _FSUM_CUTOFF else min(m, _CHUNK)
+    buf = np.empty((3, step), dtype=np.complex128)
     acc = _CompensatedAccumulator()
-    buf = np.empty(_CHUNK, dtype=np.complex128)
-    buf2 = np.empty(_CHUNK, dtype=np.complex128)
-    buf3 = np.empty(_CHUNK, dtype=np.complex128)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        w = hi - lo
-        t = np.multiply(e1[lo:hi], o1[lo:hi], out=buf[:w])
-        np.multiply(e2[lo:hi], o2[lo:hi], out=buf3[:w])
-        t -= buf3[:w]
-        inner = np.multiply(m1[lo:hi], m2[lo:hi], out=buf2[:w])
-        np.multiply(m3[lo:hi], m4[lo:hi], out=buf3[:w])
-        inner -= buf3[:w]
-        if second_sign > 0:
-            t += inner
-        else:
-            t -= inner
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        w, wi = hi - lo, min(hi, mirrored) - lo
+        t = np.multiply(e1[lo:hi], o1[lo:hi], out=buf[0, :w])
+        t -= np.multiply(e2[lo:hi], o2[lo:hi], out=buf[2, :w])
+        inner = np.multiply(m1[lo:hi], m2[lo:hi], out=buf[1, :wi])
+        inner -= np.multiply(m3[lo:hi], m4[lo:hi], out=buf[2, :wi])
+        fold(t[:wi], inner, out=t[:wi])
         t *= signs[lo:hi]
+        if step == m:  # the whole term array in one slab
+            return _compensated_complex_sum(t)
         acc.add(t)
     return acc.total()
+
+
+def _check_odd(s: StateVector, name: str) -> None:
+    if s.n < 3 or s.n % 2 == 0:
+        raise ParityError(f"{name} needs odd n >= 3, got {s.n}")
 
 
 def iv_star(s: StateVector) -> complex:
-    """The parity-agnostic invariant sum over the full amplitude vector."""
+    """The sign*-weighted one-bracket sum over the full vector; B(a, a)/2 for even n."""
     if s.n < 2:
         raise TooFewQubits(f"iv_star needs n >= 2, got {s.n}")
-    return _iv_star_of(s.amplitudes, s.n)
-
-
-def iv_even(s: StateVector) -> complex:
-    """The two-bracket even-n form; equals iv_star for even n >= 4."""
-    if s.n < 4 or s.n % 2:
-        raise ParityError(f"iv_even needs even n >= 4, got {s.n}")
-    return _two_bracket_sum(s.amplitudes, s.n, +1)
+    return _bracket_sum(s.amplitudes, +1)
 
 
 def iv_bar(s: StateVector) -> complex:
-    """The odd-n bilinear sum (minus-bracket variant of the even form)."""
-    if s.n < 3 or s.n % 2 == 0:
-        raise ParityError(f"iv_bar needs odd n >= 3, got {s.n}")
-    return _two_bracket_sum(s.amplitudes, s.n, -1)
+    """B(lo, hi): the odd-n bilinear sum (minus-bracket variant of IV*)."""
+    _check_odd(s, "iv_bar")
+    return _bracket_sum(s.amplitudes, -1)
 
 
 def iv_star_lower(s: StateVector) -> complex:
     """IV* of the qubit-1 |0> half-block, viewed as an (n-1)-qubit vector."""
-    if s.n < 3 or s.n % 2 == 0:
-        raise ParityError(f"iv_star_lower needs odd n >= 3, got {s.n}")
-    return _iv_star_of(s.amplitudes[: 1 << (s.n - 1)], s.n - 1)
+    _check_odd(s, "iv_star_lower")
+    return _bracket_sum(s.amplitudes[: 1 << (s.n - 1)], +1)
 
 
 def iv_star_shifted(s: StateVector) -> complex:
     """IV* of the qubit-1 |1> half-block (all subscripts raised by 2**(n-1))."""
-    if s.n < 3 or s.n % 2 == 0:
-        raise ParityError(f"iv_star_shifted needs odd n >= 3, got {s.n}")
-    return _iv_star_of(s.amplitudes[1 << (s.n - 1):], s.n - 1)
+    _check_odd(s, "iv_star_shifted")
+    return _bracket_sum(s.amplitudes[1 << (s.n - 1):], +1)
 
 
 def odd_invariant(s: StateVector) -> complex:
     """IVbar**2 - 4 * IV*(lower) * IV*(upper) for odd n >= 3."""
-    if s.n < 3 or s.n % 2 == 0:
-        raise ParityError(f"odd_invariant needs odd n >= 3, got {s.n}")
+    _check_odd(s, "odd_invariant")
     bar = iv_bar(s)
     half = 1 << (s.n - 1)
-    low = _iv_star_of(s.amplitudes[:half], s.n - 1)
-    high = _iv_star_of(s.amplitudes[half:], s.n - 1)
+    low = _bracket_sum(s.amplitudes[:half], +1)
+    high = _bracket_sum(s.amplitudes[half:], +1)
     return bar * bar - 4.0 * low * high
 
 
@@ -223,13 +177,17 @@ def vanishing_threshold(norm_squared: float, tol: float = DEFAULT_TOL,
                         degree: int = 2) -> float:
     """tol * max(1, |s|^2)**(degree/2), the bound of the norm-scaled zero test.
 
-    Raises NormOverflow when max(1, |s|^2)**(degree/2) overflows a float.
+    Raises NormOverflow when the bound is not a finite float: |s|^2 is
+    itself inf, or max(1, |s|^2)**(degree/2) overflows.
     """
     try:
-        return tol * max(1.0, norm_squared) ** (degree / 2)
+        threshold = tol * max(1.0, norm_squared) ** (degree / 2)
     except OverflowError:
+        threshold = math.inf
+    if not math.isfinite(threshold):
         raise NormOverflow(f"|s|^2 = {norm_squared:.6g} is too large for a finite "
-                           f"degree-{degree} vanishing threshold") from None
+                           f"degree-{degree} vanishing threshold")
+    return threshold
 
 
 def vanishing(value: complex, norm_squared: float,
@@ -260,25 +218,24 @@ def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantRepor
     if s.n < 2:
         raise TooFewQubits(f"invariant_report needs n >= 2, got {s.n}")
     nsq = s.norm_squared()
+    threshold = vanishing_threshold(nsq, tol)
     if s.n % 2 == 0:
         star = iv_star(s)
-        flags = {
-            "iv_star": vanishing(star, nsq, tol),
-            "tau": vanishing(star, nsq, tol),
-        }
+        flags = {"iv_star": abs(star) <= threshold, "tau": abs(star) <= threshold}
         return InvariantReport(n=s.n, parity="even", tau=2.0 * abs(star),
                                iv_star=star, iv_bar=None, iv_star_shifted=None,
                                odd_invariant=None, vanishing=MappingProxyType(flags))
+    threshold4 = vanishing_threshold(nsq, tol, 4)
     bar = iv_bar(s)
     low = iv_star_lower(s)
     high = iv_star_shifted(s)
     combo = bar * bar - 4.0 * low * high
     flags = {
-        "iv_star": vanishing(low, nsq, tol),
-        "iv_bar": vanishing(bar, nsq, tol),
-        "iv_star_shifted": vanishing(high, nsq, tol),
-        "odd_invariant": vanishing(combo, nsq, tol, degree=4),
-        "tau": vanishing(combo, nsq, tol, degree=4),
+        "iv_star": abs(low) <= threshold,
+        "iv_bar": abs(bar) <= threshold,
+        "iv_star_shifted": abs(high) <= threshold,
+        "odd_invariant": abs(combo) <= threshold4,
+        "tau": abs(combo) <= threshold4,
     }
     return InvariantReport(n=s.n, parity="odd", tau=4.0 * abs(combo),
                            iv_star=low, iv_bar=bar, iv_star_shifted=high,

@@ -1,12 +1,12 @@
-"""Recursive +/-1 sign tables that orient every invariant term.
+"""The +/-1 sign tables that orient every invariant term.
 
-sign(n, .) lives on [0, 2**(n-3)) for n >= 4 and on the single index 0
-for n in {2, 3}.  The table for n is the table for n-1 followed by its
-mirror image, negated when n is even.  sign*(n, .) extends sign(n, .)
-to [0, 2**(n-2)) by appending the unnegated mirror.
+Both tables are prefixes of the Thue-Morse signs tm(j) = (-1)**popcount(j).
+sign(n, .) is tm on [0, 2**(n-3)) for n >= 4 and on the single index 0
+for n in {2, 3}.  sign*(n, .) lives on [0, 2**(n-2)): it is tm there for
+even n, and the table sign(n, .) twice for odd n.
 
-Tables are built once per n and cached; lookups after warmup are plain
-array reads.
+The Thue-Morse table is built once per length by [t, -t] doubling and
+cached; lookups after warmup are plain array reads.
 """
 
 from __future__ import annotations
@@ -18,23 +18,22 @@ import numpy as np
 from .errors import IndexOutOfRange
 
 
-def _sign_range(n: int) -> int:
-    return 1 if n <= 3 else 1 << (n - 3)
+@lru_cache(maxsize=None)
+def _thue_morse(bits: int) -> np.ndarray:
+    """Read-only int8 array of (-1)**popcount(j) for j in [0, 2**bits)."""
+    table = np.ones(1, dtype=np.int8)
+    for _ in range(bits):
+        table = np.concatenate([table, -table])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
 def sign_table(n: int) -> np.ndarray:
-    """Read-only int8 array of sign(n, i) for i in [0, 2**(n-3))."""
+    """Read-only int8 array of sign(n, i) for i in [0, 2**max(n-3, 0))."""
     if n < 2:
         raise IndexOutOfRange(f"sign table needs n >= 2, got {n}")
-    if n <= 3:
-        table = np.ones(1, dtype=np.int8)
-    else:
-        prev = sign_table(n - 1)
-        mirror = prev[::-1] if n % 2 else -prev[::-1]
-        table = np.concatenate([prev, mirror])
-    table.setflags(write=False)
-    return table
+    return _thue_morse(max(n - 3, 0))
 
 
 @lru_cache(maxsize=None)
@@ -42,11 +41,9 @@ def sign_star_table(n: int) -> np.ndarray:
     """Read-only int8 array of sign*(n, i) for i in [0, 2**(n-2))."""
     if n < 2:
         raise IndexOutOfRange(f"sign* table needs n >= 2, got {n}")
-    if n == 2:
-        table = np.ones(1, dtype=np.int8)
-    else:
-        base = sign_table(n)
-        table = np.concatenate([base, base[::-1]])
+    if n % 2 == 0:
+        return _thue_morse(n - 2)
+    table = np.tile(sign_table(n), 2)
     table.setflags(write=False)
     return table
 
@@ -54,7 +51,7 @@ def sign_star_table(n: int) -> np.ndarray:
 def sign(n: int, i: int) -> int:
     if n < 2:
         raise IndexOutOfRange(f"sign needs n >= 2, got {n}")
-    limit = _sign_range(n)
+    limit = sign_table(n).size
     if not 0 <= i < limit:
         raise IndexOutOfRange(f"sign({n}, {i}): index outside [0, {limit})")
     return int(sign_table(n)[i])

@@ -13,7 +13,6 @@ from sloccinv import (
     ghz,
     invariant_report,
     iv_bar,
-    iv_even,
     iv_star,
     iv_star_lower,
     iv_star_shifted,
@@ -26,6 +25,7 @@ from sloccinv import (
 )
 from sloccinv.errors import NormOverflow, SloccInvError
 from sloccinv.invariant import _compensated_complex_sum, vanishing_threshold
+from sloccinv.signtab import sign_star_table
 
 RNG = np.random.default_rng(20260810)
 
@@ -67,20 +67,22 @@ def test_csum_deterministic():
 
 
 def test_chunked_streaming_matches_one_shot(monkeypatch):
-    # above the fsum cutoff both paths fold identical lane rows: bit-equal
+    # above the fsum cutoff both paths fold identical lane rows: bit-equal.
+    # n=17, not 15: the n=14 half-blocks of n=15 fold to 2**11 terms, 4096
+    # floats, which the one-shot side would sum with fsum
     import sloccinv.invariant as inv
 
     even = rand_state(16)
-    odd = rand_state(15)
-    ref = (iv_star(even), iv_even(even), iv_bar(odd), odd_invariant(odd))
+    odd = rand_state(17)
+    ref = (iv_star(even), iv_bar(odd), odd_invariant(odd))
     monkeypatch.setattr(inv, "_CHUNK", 512)
-    got = (iv_star(even), iv_even(even), iv_bar(odd), odd_invariant(odd))
+    got = (iv_star(even), iv_bar(odd), odd_invariant(odd))
     assert got == ref
 
 
 def test_chunked_streaming_accuracy_below_cutoff(monkeypatch):
-    # below the cutoff the one-shot path is exact fsum; chunking may differ
-    # only at the last ulp
+    # below the cutoff the whole term array is one slab summed with exact
+    # fsum, whatever the slab size
     import sloccinv.invariant as inv
 
     even = rand_state(12)
@@ -88,11 +90,10 @@ def test_chunked_streaming_accuracy_below_cutoff(monkeypatch):
     ref = (iv_star(even), odd_invariant(odd))
     monkeypatch.setattr(inv, "_CHUNK", 512)
     got = (iv_star(even), odd_invariant(odd))
-    for g, r in zip(got, ref):
-        assert abs(g - r) <= 4e-18
+    assert got == ref
 
 
-# --- iv_star / iv_even ----------------------------------------------------
+# --- iv_star ----------------------------------------------------------------
 
 def test_iv_star_ghz4():
     assert iv_star(ghz(4)) == pytest.approx(0.5)
@@ -109,26 +110,6 @@ def test_iv_star_ghz2():
 def test_iv_star_needs_two_qubits():
     with pytest.raises(TooFewQubits):
         iv_star(new_state(1, [1, 0]))
-
-
-def test_iv_even_equals_iv_star_on_fixtures():
-    assert iv_even(ghz(4)) == pytest.approx(iv_star(ghz(4)))
-    assert iv_even(ghz(6)) == pytest.approx(0.5)
-
-
-def test_iv_even_equals_iv_star_random():
-    for n in (4, 6, 8):
-        for _ in range(350):
-            s = rand_state(n)
-            a, b = iv_even(s), iv_star(s)
-            assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300), n
-
-
-def test_iv_even_parity_errors():
-    with pytest.raises(ParityError):
-        iv_even(ghz(5))
-    with pytest.raises(ParityError):
-        iv_even(ghz(2))
 
 
 # --- odd-n pieces -----------------------------------------------------------
@@ -167,6 +148,66 @@ def test_odd_invariant_values():
     assert odd_invariant(ghz(5)) == pytest.approx(0.25)
     with pytest.raises(ParityError):
         odd_invariant(ghz(4))
+
+
+# --- the Thue-Morse bilinear form -------------------------------------------
+
+U = 2.0 ** -53
+
+
+def _exact_products(x, y):
+    """x * y elementwise as p + e, with p + e exact (Dekker's TwoProduct)."""
+    def split(v):
+        c = 134217729.0 * v
+        high = c - (c - v)
+        return high, v - high
+
+    p = x * y
+    (xh, xl), (yh, yl) = split(x), split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _signed_sum(signs, x, y):
+    """sum_j signs_j x_j y_j, exactly rounded."""
+    re = _exact_products(x.real, y.real) + _exact_products(-x.imag, y.imag)
+    im = _exact_products(x.real, y.imag) + _exact_products(x.imag, y.real)
+    return complex(math.fsum(np.concatenate([signs * p for p in re]).tolist()),
+                   math.fsum(np.concatenate([signs * p for p in im]).tolist()))
+
+
+def _form(x, y):
+    """B(x, y) = sum_j (-1)**popcount(j) x_j y_{L-1-j}."""
+    tm = np.array([(-1) ** bin(j).count("1") for j in range(x.size)], dtype=float)
+    return _signed_sum(tm, x, y[::-1])
+
+
+def _pair_magnitude(x):
+    """M = sum_{j < L/2} |x_j| |x_{L-1-j}|: every product of the form, once."""
+    m = np.abs(x)
+    return float(m[: m.size // 2] @ m[::-1][: m.size // 2])
+
+
+def test_invariants_match_the_thue_morse_form():
+    # First-order rounding of the kernel: sqrt(5) u for each complex
+    # product, u for the bracket difference, u for the fold, 2u for the
+    # compensated sum; plus u for rounding the reference.
+    rng = np.random.default_rng(20261018)
+    bound = (math.sqrt(5) + 5) * U
+    for n in range(2, 15):
+        for _ in range(3):
+            s = rand_state(n, rng)
+            a = s.amplitudes
+            lo, hi = np.split(a, 2)
+            if n % 2 == 0:
+                checks = [(iv_star(s), _form(a, a) / 2, a)]
+            else:
+                bracket = np.repeat(sign_star_table(n), 2) * np.resize([1.0, -1.0], lo.size)
+                checks = [(iv_star(s), _signed_sum(bracket, lo, a[::-1][: lo.size]), a),
+                          (iv_bar(s), _form(lo, hi), a),
+                          (iv_star_lower(s), _form(lo, lo) / 2, lo),
+                          (iv_star_shifted(s), _form(hi, hi) / 2, hi)]
+            for k, (got, want, x) in enumerate(checks):
+                assert abs(got - want) <= bound * _pair_magnitude(x), (n, k)
 
 
 # --- tau --------------------------------------------------------------------
@@ -272,9 +313,9 @@ def test_vanishing_threshold_values_and_overflow():
                 continue
             want = 1e-10 * max(1.0, nsq) ** (degree / 2)
             assert vanishing_threshold(nsq, 1e-10, degree) == want
-    for nsq in (1.4e154, 1e200, 1e300):
+    for nsq, degree in ((1.4e154, 4), (1e200, 4), (1e300, 4), (math.inf, 4), (math.inf, 2)):
         with pytest.raises(NormOverflow) as info:
-            vanishing_threshold(nsq, 1e-10, 4)
+            vanishing_threshold(nsq, 1e-10, degree)
         assert isinstance(info.value, SloccInvError)
         assert isinstance(info.value, OverflowError)
     with pytest.raises(NormOverflow):

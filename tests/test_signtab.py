@@ -42,6 +42,19 @@ def test_tables_match_direct_recursion_up_to_16():
             assert sign_star(n, i) == _sign_star_recursive(n, i), (n, i)
 
 
+def test_tables_are_popcount_parity_up_to_22():
+    for n in range(2, 23):
+        j = np.arange(1 << (n - 2))
+        parity = np.zeros_like(j)
+        for bit in range(n - 2):
+            parity ^= (j >> bit) & 1
+        tm = 1 - 2 * parity
+        base = tm[: 1 << max(n - 3, 0)]
+        np.testing.assert_array_equal(sign_table(n), base)
+        np.testing.assert_array_equal(sign_star_table(n), tm if n % 2 == 0 else np.tile(base, 2))
+        assert sign_star_table(n).size == 1 << (n - 2)
+
+
 def test_golden_patterns():
     assert sign_table(4).tolist() == [1, -1]
     assert sign_table(5).tolist() == [1, -1, -1, 1]
