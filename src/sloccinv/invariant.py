@@ -37,37 +37,51 @@ from .statevec import StateVector
 DEFAULT_TOL = 1e-10   # vanishing threshold, scaled by the norm (see `vanishing`)
 
 _FSUM_CUTOFF = 4096   # floats; below this math.fsum beats the lane path
-_LANES = 1024         # even, so interleaved re/im floats never share a lane
-_CHUNK = 1 << 18      # complex terms per slab (4 MiB); multiple of _LANES/2
+_LANES = 8192         # even, so interleaved re/im floats never share a lane
+_CHUNK = _LANES // 2  # complex terms per slab: one lane row, 64 KiB
 
 
 class _CompensatedAccumulator:
-    """Streaming Neumaier-compensated sum over complex term chunks.
+    """Streaming compensated sum over complex term chunks.
 
-    Chunks are viewed as interleaved re/im float64 and folded into a
-    fixed number of compensated lanes; every chunk except the last must
-    carry a multiple of _LANES/2 terms so real and imaginary parts keep
-    their lanes.  Lane totals and compensations are combined exactly
-    with math.fsum, so the result is deterministic for a fixed chunk
-    sequence and immune to cancellation ordering.
+    Chunks are viewed as interleaved re/im float64, and the float at
+    stream position p is added into lane p % _LANES by Knuth's
+    branch-free TwoSum, whose exact rounding error goes into the lane's
+    compensation: the wide-lane form of Ogita, Rump & Oishi's Sum2.
+    Lanes follow float positions, not chunks, so any chunking of the
+    stream gives the same bits, and real and imaginary parts keep their
+    lanes.  Lane totals and compensations are combined exactly with
+    math.fsum, so the result is deterministic and immune to cancellation
+    ordering.
     """
 
     def __init__(self):
+        self._pos = 0
         self._total = np.zeros(_LANES)
         self._comp = np.zeros(_LANES)
+        self._scratch = np.empty((3, _LANES))
 
     def add(self, terms: np.ndarray) -> None:
         x = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
-        pad = (-x.size) % _LANES
-        if pad:
-            x = np.concatenate([x, np.zeros(pad)])
-        total, comp = self._total, self._comp
-        for row in x.reshape(-1, _LANES):
-            t = total + row
-            comp += np.where(np.abs(total) >= np.abs(row),
-                             (total - t) + row, (row - t) + total)
-            total = t
-        self._total = total
+        start = 0
+        while start < x.size:
+            lane = self._pos % _LANES
+            width = min(_LANES - lane, x.size - start)
+            self._two_sum(x[start:start + width], lane)
+            start += width
+            self._pos += width
+
+    def _two_sum(self, row: np.ndarray, lane: int) -> None:
+        total = self._total[lane:lane + row.size]
+        s, b, err = self._scratch[:, :row.size]
+        np.add(total, row, out=s)
+        np.subtract(s, total, out=b)    # the part of row that reached s
+        np.subtract(s, b, out=err)
+        np.subtract(total, err, out=err)  # what total lost in s
+        np.subtract(row, b, out=b)      # what row lost in s
+        err += b
+        self._comp[lane:lane + row.size] += err
+        total[...] = s
 
     def total(self) -> complex:
         re = math.fsum(self._total[0::2].tolist()) + math.fsum(self._comp[0::2].tolist())
@@ -175,13 +189,15 @@ def tau(s: StateVector) -> float:
 
 def vanishing_threshold(norm_squared: float, tol: float = DEFAULT_TOL,
                         degree: int = 2) -> float:
-    """tol * max(1, |s|^2)**(degree/2), the bound of the norm-scaled zero test.
+    """tol * (|s|^2)**(degree/2), the bound of the norm-scaled zero test.
 
+    The bound is homogeneous of the value's degree, so scaling a state
+    by any c != 0 never changes a vanishing decision beyond rounding.
     Raises NormOverflow when the bound is not a finite float: |s|^2 is
-    itself inf, or max(1, |s|^2)**(degree/2) overflows.
+    itself inf, or (|s|^2)**(degree/2) overflows.
     """
     try:
-        threshold = tol * max(1.0, norm_squared) ** (degree / 2)
+        threshold = tol * norm_squared ** (degree / 2)
     except OverflowError:
         threshold = math.inf
     if not math.isfinite(threshold):
@@ -192,7 +208,7 @@ def vanishing_threshold(norm_squared: float, tol: float = DEFAULT_TOL,
 
 def vanishing(value: complex, norm_squared: float,
               tol: float = DEFAULT_TOL, degree: int = 2) -> bool:
-    """Norm-scaled zero test: |value| <= tol * max(1, |s|^2)**(degree/2)."""
+    """Norm-scaled zero test: |value| <= tol * (|s|^2)**(degree/2)."""
     return abs(value) <= vanishing_threshold(norm_squared, tol, degree)
 
 

@@ -23,6 +23,7 @@ NORM_TOL = 1e-12      # |<s|s> - 1| below this marks the state normalized
 _RESCALE_TOL = 1e-15  # normalize() returns its input unchanged this close to 1
 
 _CLUSTER_SUPPORT = (3, 5, 6, 9, 10, 12)
+_DRAW_SLAB = 1 << 16  # floats per rng.random call of _random_amplitudes (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,22 @@ def complement(s: StateVector) -> StateVector:
 
 
 def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-norm amplitudes with re/im parts drawn uniformly from [-1, 1]."""
+    """Unit-norm amplitudes with re/im parts drawn uniformly from [-1, 1].
+
+    The bits and the generator's state afterwards equal those of
+    (rng.uniform(-1, 1, 2**n) + 1j * rng.uniform(-1, 1, 2**n)) / norm:
+    uniform(-1, 1) is -1 + 2r with one rounding (2r is exact), and numpy
+    divides a complex by a real as x * (1/norm) per component.  Drawing
+    through one reused slab keeps every temporary in cache.
+    """
     amps = np.empty(1 << n, dtype=np.complex128)
-    amps.real = rng.uniform(-1.0, 1.0, 1 << n)
-    amps.imag = rng.uniform(-1.0, 1.0, 1 << n)
-    amps /= np.linalg.norm(amps)
+    slab = np.empty(min(_DRAW_SLAB, amps.size))
+    for part in (amps.real, amps.imag):
+        for lo in range(0, part.size, slab.size):
+            rng.random(out=slab)
+            slab *= 2.0
+            np.subtract(slab, 1.0, out=part[lo:lo + slab.size])
+    amps.view(np.float64)[...] *= 1.0 / np.linalg.norm(amps)
     return amps
 
 

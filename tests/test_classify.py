@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sloccinv import (
     EQUIVALENT_BY_CONSTRUCTION,
@@ -82,6 +83,23 @@ def test_soundness_under_construction_quick():
             ch = random_chain(n, seed=500 * n + trial)
             verdict = compare(s, apply_chain(ch, s))
             assert verdict.outcome != PROVABLY_INEQUIVALENT, (n, trial)
+
+
+@pytest.mark.parametrize("n, c", [(4, 1e-6), (3, 1e-3), (5, 1e-3)])
+def test_rescaled_ghz_is_not_provably_inequivalent(n, c):
+    s = ghz(n)
+    assert compare(s, new_state(n, c * s.amplitudes)).outcome != PROVABLY_INEQUIVALENT
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 6), kind=st.sampled_from(["random", "ghz", "w"]),
+       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-8.0, 8.0))
+def test_rescaling_is_never_provably_inequivalent(n, kind, seed, exponent):
+    # c * s is SLOCC-equivalent to s through the chain c**(1/n) * I
+    s = {"random": lambda: random_state(n, seed), "ghz": lambda: ghz(n),
+         "w": lambda: w_state(n)}[kind]()
+    scaled = new_state(n, 10.0 ** exponent * s.amplitudes)
+    assert compare(s, scaled).outcome != PROVABLY_INEQUIVALENT
 
 
 def test_dual_equivalence_witness():

@@ -24,7 +24,11 @@ from sloccinv import (
     w_state,
 )
 from sloccinv.errors import NormOverflow, SloccInvError
-from sloccinv.invariant import _compensated_complex_sum, vanishing_threshold
+from sloccinv.invariant import (
+    _CompensatedAccumulator,
+    _compensated_complex_sum,
+    vanishing_threshold,
+)
 from sloccinv.signtab import sign_star_table
 
 RNG = np.random.default_rng(20260810)
@@ -64,6 +68,29 @@ def test_csum_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1, 100000) + 1j * rng.normal(0, 1, 100000)
     assert _compensated_complex_sum(x) == _compensated_complex_sum(x.copy())
+
+
+def test_lane_path_keeps_every_rounding_error():
+    # above the fsum cutoff 1e16 + 1 rounds to 1e16 in every lane; only
+    # the TwoSum compensation keeps the ones
+    k = 1 << 13
+    x = np.concatenate([np.full(k, 1e16), np.full(k, 1.0), np.full(k, -1e16),
+                        np.full(k, 1.0)]) * (1 + 1j)
+    assert _compensated_complex_sum(x) == 2 * k * (1 + 1j)
+
+
+def test_lane_path_bits_do_not_depend_on_chunking():
+    # lanes follow float positions, so chunks that straddle lane rows
+    # give the one-shot bits; magnitudes spread over 40 decades make the
+    # compensations, and so the bits, depend on which lane a float joins
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(0, 1, 50000) + 1j * rng.normal(0, 1, 50000)) \
+            * 10.0 ** rng.integers(-20, 20, 50000)
+        acc = _CompensatedAccumulator()
+        for lo in range(0, x.size, 3001):
+            acc.add(x[lo:lo + 3001])
+        assert acc.total() == _compensated_complex_sum(x), seed
 
 
 def test_chunked_streaming_matches_one_shot(monkeypatch):
@@ -190,11 +217,12 @@ def _pair_magnitude(x):
 def test_invariants_match_the_thue_morse_form():
     # First-order rounding of the kernel: sqrt(5) u for each complex
     # product, u for the bracket difference, u for the fold, 2u for the
-    # compensated sum; plus u for rounding the reference.
+    # compensated sum; plus u for rounding the reference.  Up to n=14
+    # every term array is summed by math.fsum; n=15..18 take the lane path.
     rng = np.random.default_rng(20261018)
     bound = (math.sqrt(5) + 5) * U
-    for n in range(2, 15):
-        for _ in range(3):
+    for n in range(2, 19):
+        for _ in range(3 if n <= 14 else 1):
             s = rand_state(n, rng)
             a = s.amplitudes
             lo, hi = np.split(a, 2)
@@ -302,8 +330,9 @@ def test_vanishing_rule():
     # degree-4 values scale with the squared norm
     assert vanishing(3.9e-10, 2.0, degree=4)
     assert not vanishing(4.1e-10, 2.0, degree=4)
-    # sub-unit norms do not shrink the threshold below tol
-    assert vanishing(9e-11, 0.01)
+    # sub-unit norms shrink the threshold with the norm: it is homogeneous
+    assert not vanishing(9e-11, 0.01)
+    assert vanishing(9e-13, 0.01)
 
 
 def test_vanishing_threshold_values_and_overflow():
@@ -311,7 +340,7 @@ def test_vanishing_threshold_values_and_overflow():
         for degree in (2, 4):
             if degree == 4 and nsq > 1.3e154:
                 continue
-            want = 1e-10 * max(1.0, nsq) ** (degree / 2)
+            want = 1e-10 * nsq ** (degree / 2)
             assert vanishing_threshold(nsq, 1e-10, degree) == want
     for nsq, degree in ((1.4e154, 4), (1e200, 4), (1e300, 4), (math.inf, 4), (math.inf, 2)):
         with pytest.raises(NormOverflow) as info:

@@ -217,12 +217,15 @@ def test_random_amplitudes_bits_match_the_sum_and_divide_form():
         amps = rng.uniform(-1.0, 1.0, 1 << n) + 1j * rng.uniform(-1.0, 1.0, 1 << n)
         return amps / np.linalg.norm(amps)
 
-    for n in (1, 2, 5, 9, 14):
+    # n=17 and 20 draw each part in several 2**16-float slabs
+    for n in (1, 2, 5, 9, 14, 17, 20):
         for seed in (0, 1, 42, 2**31 - 1):
-            got = _random_amplitudes(np.random.default_rng(seed), n)
-            want = reference(np.random.default_rng(seed), n)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _random_amplitudes(rng, n)
+            want = reference(ref_rng, n)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (n, seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, seed)
 
 
 def test_random_state_norm_and_small_n():
