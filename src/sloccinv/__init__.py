@@ -18,11 +18,8 @@ from .classify import (
 )
 from .criteria import (
     CriteriaSignature,
-    DCriterion,
-    FSubscripts,
     achieved_pair_sums,
     criteria_signature,
-    d_criteria,
     f_enumerate,
     f_evaluate,
 )
@@ -91,13 +88,13 @@ from .statevec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZero", "BadArgs", "BadWitness", "CriteriaSignature", "DCriterion",
-    "DEFAULT_TOL", "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "FSubscripts", "IndexOutOfRange",
+    "AllZero", "BadArgs", "BadWitness", "CriteriaSignature",
+    "DEFAULT_TOL", "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "IndexOutOfRange",
     "InvariantReport", "LengthMismatch", "LocalOperator", "LocalOperatorChain",
     "ORACLE_LABELS", "PROVABLY_INEQUIVALENT", "ParityError", "ParseError",
     "SizeMismatch", "SloccInvError", "StateVector", "TooFewQubits",
     "UNDETERMINED", "Verdict", "achieved_pair_sums", "apply_chain", "chain_of",
-    "cluster_c", "compare", "complement", "criteria_signature", "d_criteria",
+    "cluster_c", "compare", "complement", "criteria_signature",
     "det_product", "dual_equivalence", "f_enumerate", "f_evaluate",
     "from_json_dict", "ghz", "identity_chain", "invariant_report", "iv_bar",
     "iv_star", "iv_star_lower", "iv_star_shifted", "load_state",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .criteria import CriterionValues, criteria_signature
 from .errors import BadWitness, SizeMismatch
-from .invariant import DEFAULT_TOL, iv_star, odd_invariant, vanishing_threshold
+from .invariant import DEFAULT_TOL, invariant_report
 from .slocc import INVERTIBLE_TOL, LocalOperatorChain, apply_chain, sigma_x_chain
 from .statevec import StateVector, complement
 
@@ -41,16 +41,13 @@ class Verdict:
 
 
 def _tau_evidence(s1: StateVector, s2: StateVector, tol: float):
-    even = s1.n % 2 == 0
-    deg, scale, name = (2, 2.0, "iv_star") if even else (4, 4.0, "odd_invariant")
-    t1 = vanishing_threshold(s1.norm_squared(), tol, deg)
-    t2 = vanishing_threshold(s2.norm_squared(), tol, deg)
-    value = iv_star if even else odd_invariant
-    z1, z2 = value(s1), value(s2)
-    v1, v2 = abs(z1) <= t1, abs(z2) <= t2
+    """tau, the value it is built from and their shared vanishing flags, per state."""
+    r1, r2 = invariant_report(s1, tol), invariant_report(s2, tol)
+    name = "iv_star" if r1.parity == "even" else "odd_invariant"
+    v1, v2 = r1.vanishing["tau"], r2.vanishing["tau"]
     records = (
-        Evidence("tau", (scale * abs(z1), scale * abs(z2)), (v1, v2)),
-        Evidence(name, (z1, z2), (v1, v2)),
+        Evidence("tau", (r1.tau, r2.tau), (v1, v2)),
+        Evidence(name, (getattr(r1, name), getattr(r2, name)), (v1, v2)),
     )
     return records, v1, v2
 

@@ -1,15 +1,16 @@
 """Command-line interface: state generation, reports, comparison, verification.
 
 Exit codes: compare returns 2 for ProvablyInequivalent (0 otherwise);
-verify returns 1 when the measured error exceeds the gate; any handled
-error returns 1.  All outputs are deterministic for fixed inputs and
-seeds.
+verify returns 1 when the measured error exceeds the gate; a usage error
+or any handled error returns 1 with one `error:` line.  All outputs are
+deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import classify, criteria, invariant, oracle, signtab, slocc, statevec
@@ -17,7 +18,6 @@ from .errors import BadArgs, SloccInvError
 
 DEFAULT_MAX_N = 26      # 2**26 complex amplitudes ~= 1 GiB; override with --max-n
 VERIFY_GATE = 1e-8
-_REPORT_CRITERIA_MAX_N = 6
 
 
 def _check_n(n: int, max_n: int, floor: int = 1) -> int:
@@ -83,12 +83,12 @@ def cmd_invariant(args) -> int:
         "vanishing": dict(report.vanishing),
     }
     sig = None
-    if 3 <= s.n <= _REPORT_CRITERIA_MAX_N:
+    if 3 <= s.n <= criteria._F_SIGNATURE_MAX_N:
         sig = criteria.criteria_signature(s, args.tol)
         doc["criteria"] = criteria.signature_json_dict(sig)
     else:
         doc["criteria_note"] = (f"criteria are included for 3 <= n <= "
-                                f"{_REPORT_CRITERIA_MAX_N}; use the criteria command")
+                                f"{criteria._F_SIGNATURE_MAX_N}; use the criteria command")
     if args.oracle:
         values = {label: oracle.evaluate(label, s) for label in oracle.labels_for(s.n)}
         if values:
@@ -110,7 +110,7 @@ def cmd_criteria(args) -> int:
             "n": args.n,
             "count": len(tuples),
             "sums": criteria.achieved_pair_sums(args.n),
-            "tuples": [list(t) for t in tuples],
+            "tuples": tuples.tolist(),
             "note": ("tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
                      "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] "
                      "are excluded"),
@@ -173,17 +173,25 @@ def cmd_signs(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise BadArgs (exit 1) instead of exiting 2, the exit
+    code compare keeps for ProvablyInequivalent."""
+
+    def error(self, message):
+        raise BadArgs(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=invariant.DEFAULT_TOL,
                         help="vanishing tolerance (default 1e-10)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                         help=f"qubit-count cap (default {DEFAULT_MAX_N})")
 
-    parser = argparse.ArgumentParser(prog="sloccinv",
-                                     description="SLOCC invariants and residual "
-                                                 "entanglement for n-qubit states")
+    parser = _Parser(prog="sloccinv",
+                     description="SLOCC invariants and residual "
+                                 "entanglement for n-qubit states")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_make = sub.add_parser("make", parents=[common], help="write a state file")
@@ -241,18 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be at least 1")
     try:
+        args = build_parser().parse_args(argv)
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise BadArgs(f"--tol must be finite and positive, got {args.tol}")
+        if getattr(args, "trials", 1) < 1:
+            raise BadArgs("--trials must be at least 1")
         return args.func(args)
-    except SloccInvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SloccInvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

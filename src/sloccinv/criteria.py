@@ -13,18 +13,20 @@ count per (sum, xor) class is a power of two, so the tuple count grows
 roughly like 2**(4n); enumeration beyond n ~ 7 is impractical and the
 CLI refuses it by default.
 
-Array form.  A pair u < v is fixed by its class (A, X) = (u & v, u ^ v)
-and a split of X's bits, so the F tuples are generated class by class
-into one cached (m, 8) int array.  D values come from the (blocks, 8)
-views of the front half and the mirrored back half, F values from one
-gather per subscript column.  Every complex operation is spelled out on
-float64 real and imaginary arrays exactly as numpy's scalar complex
-arithmetic rounds it: products without fused multiply-add, `z ** 2` as
-z * z except that an exact zero squares to +0, and `4 * z` as a product
-with 4+0j.  Each value therefore equals the scalar formula of
-`f_evaluate` and the literal D transcription bit for bit, signed zeros
-included.  Vanishing tests use np.hypot, which equals abs() of the
-complex value.
+Array form.  Results exist only as arrays: `criteria_signature` holds
+the D and F values as float64 (re, im) arrays with their magnitudes and
+vanishing masks.  A pair u < v is fixed by its class (A, X) =
+(u & v, u ^ v) and a split of X's bits, so `f_enumerate` generates the
+F tuples class by class into one cached, read-only (m, 8) int64 array.
+D values come from the (blocks, 8) views of the front half and the
+mirrored back half, F values from one gather per subscript column.
+Every complex operation is spelled out on float64 real and imaginary
+arrays exactly as numpy's scalar complex arithmetic rounds it: products
+without fused multiply-add, `z ** 2` as z * z except that an exact zero
+squares to +0, and `4 * z` as a product with 4+0j.  Each value
+therefore equals the scalar formula of `f_evaluate` and the literal D
+transcription bit for bit, signed zeros included.  Vanishing tests use
+np.hypot, which equals abs() of the complex value.
 """
 
 from __future__ import annotations
@@ -32,41 +34,15 @@ from __future__ import annotations
 import json
 import textwrap
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, combinations, starmap
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from functools import lru_cache
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IndexOutOfRange, TooFewQubits
 from .invariant import DEFAULT_TOL, vanishing_threshold
 from .statevec import StateVector
-
-
-@dataclass(frozen=True)
-class DCriterion:
-    """The three block-i values D1, D2, D3."""
-
-    i: int
-    d1: complex
-    d2: complex
-    d3: complex
-
-
-class FSubscripts(NamedTuple):
-    i: int
-    j: int
-    k: int
-    l: int
-    p: int
-    q: int
-    r: int
-    s: int
-
-    @property
-    def pair_sum(self) -> int:
-        return self.i + self.j
 
 
 # Complex arithmetic on (re, im) pairs of float64 arrays, rounded op for
@@ -89,14 +65,6 @@ def _square(x):
     re, im = _mul(x, x)
     zero = (x[0] == 0) & (x[1] == 0)
     return np.where(zero, 0.0, re), np.where(zero, 0.0, im)
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Assemble through .real/.imag: re + 1j*im would turn -0.0 into 0.0."""
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real = re
-    z.imag = im
-    return z
 
 
 # D_k = P(lo) Q(hi) - Q(lo) P(hi), with P, Q the 2x2 minors
@@ -125,21 +93,6 @@ def _d_values(amplitudes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             np.stack([im for _, im in values], axis=1))
 
 
-def _d_objects(re: np.ndarray, im: np.ndarray) -> list[DCriterion]:
-    return [DCriterion(i, *row) for i, row in enumerate(_complex(re, im).tolist())]
-
-
-def d_criteria(s: StateVector) -> list[DCriterion]:
-    """All 2**(n-4) D-criterion triples, transcribed index-for-index."""
-    return _d_objects(*_d_values(s.amplitudes, s.n))
-
-
-def _shifted_in_range(t: FSubscripts, size: int) -> bool:
-    if t.pair_sum % 2:
-        return t.j - 1 >= 0 and t.q - 1 >= 0 and t.l + 1 < size and t.s + 1 < size
-    return t.j - 2 >= 0 and t.q - 2 >= 0 and t.l + 2 < size and t.s + 2 < size
-
-
 def _submasks(mask: int, size: int) -> np.ndarray:
     """Every v in [0, size) with v & ~mask == 0, ascending."""
     v = np.arange(size)
@@ -154,8 +107,9 @@ def _quads(count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _f_tuples(n: int) -> np.ndarray:
-    """The admissible tuples as a read-only (m, 8) array, ordered by (i+j, i, k, p, r).
+def f_enumerate(n: int) -> np.ndarray:
+    """All admissible subscript tuples as one cached, read-only (m, 8) int64
+    array, a row (i, j, k, l, p, q, r, s) each, ordered by (i+j, i, k, p, r).
 
     The class (A, X) = (u & v, u ^ v) has sum 2A + X and XOR X; its pairs
     are u = A | S, v = u ^ X for the subsets S of X without X's top bit,
@@ -184,24 +138,21 @@ def _f_tuples(n: int) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=None)
-def f_enumerate(n: int) -> tuple[FSubscripts, ...]:
-    """All admissible subscript tuples, ordered by (i+j, i, k, p, r)."""
-    return tuple(starmap(FSubscripts, _f_tuples(n).tolist()))
-
-
-def f_evaluate(s: StateVector, t: FSubscripts) -> complex:
-    """The literal F expression at tuple t, dispatched on the parity of i+j."""
+def f_evaluate(s: StateVector, t) -> complex:
+    """The literal F expression at the 8 subscripts t = (i, j, k, l, p, q, r, s),
+    dispatched on the parity of i+j: the scalar reference that the F arrays
+    of criteria_signature equal bit for bit.
+    """
     size = 1 << s.n
     if not all(0 <= idx < size for idx in t):
         raise IndexOutOfRange(f"{t} has subscripts outside [0, {size})")
-    if not _shifted_in_range(t, size):
-        raise IndexOutOfRange(f"{t} has shifted subscripts outside [0, {size})")
     a = s.amplitudes
-    head = (a[t.i] * a[t.j] + a[t.k] * a[t.l] - a[t.p] * a[t.q] - a[t.r] * a[t.s]) ** 2
-    d = 1 if t.pair_sum % 2 else 2
-    tail = 4 * (a[t.i] * a[t.j - d] - a[t.p] * a[t.q - d]) \
-             * (a[t.k] * a[t.l + d] - a[t.r] * a[t.s + d])
+    i, j, k, l, p, q, r, s = t
+    d = 1 if (i + j) % 2 else 2
+    if not (j - d >= 0 and q - d >= 0 and l + d < size and s + d < size):
+        raise IndexOutOfRange(f"{t} has shifted subscripts outside [0, {size})")
+    head = (a[i] * a[j] + a[k] * a[l] - a[p] * a[q] - a[r] * a[s]) ** 2
+    tail = 4 * (a[i] * a[j - d] - a[p] * a[q - d]) * (a[k] * a[l + d] - a[r] * a[s + d])
     return complex(head - tail)
 
 
@@ -243,8 +194,8 @@ class CriteriaSignature:
     """All D and F values for one state plus their vanishing pattern.
 
     `d` holds (2**(n-4), 3) arrays whose row i is D1..D3 of block i; `f`
-    holds one entry per row of `f_tuples`.  The object views d_values,
-    d_vanishing, f_values and f_vanishing are built on first use.
+    holds one entry per row of `f_tuples`, which is f_enumerate(n) itself
+    when F is included.
     """
 
     n: int
@@ -253,27 +204,6 @@ class CriteriaSignature:
     f_tuples: np.ndarray
     f: CriterionValues
     f_included: bool
-
-    @cached_property
-    def d_values(self) -> tuple[DCriterion, ...]:
-        return tuple(_d_objects(self.d.re, self.d.im))
-
-    @cached_property
-    def d_vanishing(self) -> tuple[tuple[bool, bool, bool], ...]:
-        return tuple(map(tuple, self.d.vanishing.tolist()))
-
-    @cached_property
-    def f_values(self) -> Mapping[FSubscripts, complex]:
-        values = _complex(self.f.re, self.f.im).tolist()
-        return MappingProxyType(dict(zip(self._f_keys, values)))
-
-    @cached_property
-    def f_vanishing(self) -> Mapping[FSubscripts, bool]:
-        return MappingProxyType(dict(zip(self._f_keys, self.f.vanishing.tolist())))
-
-    @property
-    def _f_keys(self) -> tuple[FSubscripts, ...]:
-        return f_enumerate(self.n) if self.f_included else ()
 
 
 def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
@@ -291,7 +221,7 @@ def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
     if include_f is None:
         include_f = s.n <= _F_SIGNATURE_MAX_N
     f_included = bool(include_f and s.n >= 3)
-    tuples = _f_tuples(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
+    tuples = f_enumerate(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
     f = _criterion_values(*_f_values(s.amplitudes, tuples), threshold)
     return CriteriaSignature(n=s.n, tol=tol, d=d, f_tuples=tuples, f=f,
                              f_included=f_included)
@@ -299,7 +229,7 @@ def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
 
 def achieved_pair_sums(n: int) -> list[int]:
     """Sorted set of sums i+j realized by at least one admissible tuple."""
-    t = _f_tuples(n)
+    t = f_enumerate(n)
     return np.unique(t[:, 0] + t[:, 1]).tolist()
 
 

@@ -16,9 +16,11 @@ square; tau is therefore invariant under determinant-one chains.
 One kernel, `_bracket_sum`, evaluates all of them.  It folds the terms
 i and L/4-1-i of the one-bracket sum into one two-bracket term, so a
 2**n-amplitude vector costs 2**(n-3) terms, streamed in fixed-size
-slabs.  Every sum is compensated in fixed index order, so
-cancellation-heavy states (W, single-qubit tensor factors) evaluate to
-clean zeros and results are reproducible bit-for-bit.
+slabs through one compensated lane accumulator, whatever the size.
+Every sum is compensated in fixed index order, so cancellation-heavy
+states (W, single-qubit tensor factors) evaluate to clean zeros and
+results are reproducible bit-for-bit; a term array of at most _LANES
+floats has one float per lane and sums exactly as math.fsum does.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .statevec import StateVector
 
 DEFAULT_TOL = 1e-10   # vanishing threshold, scaled by the norm (see `vanishing`)
 
-_FSUM_CUTOFF = 4096   # floats; below this math.fsum beats the lane path
 _LANES = 8192         # even, so interleaved re/im floats never share a lane
 _CHUNK = _LANES // 2  # complex terms per slab: one lane row, 64 KiB
 
@@ -52,7 +53,8 @@ class _CompensatedAccumulator:
     stream gives the same bits, and real and imaginary parts keep their
     lanes.  Lane totals and compensations are combined exactly with
     math.fsum, so the result is deterministic and immune to cancellation
-    ordering.
+    ordering; a stream of at most _LANES floats has one float per lane,
+    so its sum is exactly math.fsum's.
     """
 
     def __init__(self):
@@ -84,20 +86,11 @@ class _CompensatedAccumulator:
         total[...] = s
 
     def total(self) -> complex:
-        re = math.fsum(self._total[0::2].tolist()) + math.fsum(self._comp[0::2].tolist())
-        im = math.fsum(self._total[1::2].tolist()) + math.fsum(self._comp[1::2].tolist())
+        used = min(self._pos, _LANES)  # lanes past the stream's end hold +0.0
+        total, comp = self._total[:used], self._comp[:used]
+        re = math.fsum(total[0::2].tolist()) + math.fsum(comp[0::2].tolist())
+        im = math.fsum(total[1::2].tolist()) + math.fsum(comp[1::2].tolist())
         return complex(re, im)
-
-
-def _compensated_complex_sum(terms: np.ndarray) -> complex:
-    """One-shot compensated sum; exact math.fsum for small inputs."""
-    x = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
-    if x.size <= _FSUM_CUTOFF:
-        vals = x.tolist()
-        return complex(math.fsum(vals[0::2]), math.fsum(vals[1::2]))
-    acc = _CompensatedAccumulator()
-    acc.add(terms)
-    return acc.total()
 
 
 def _bracket_sum(a: np.ndarray, sign: int) -> complex:
@@ -117,7 +110,7 @@ def _bracket_sum(a: np.ndarray, sign: int) -> complex:
     m3, m4 = a[half - 1::-2][:mirrored], a[half::2][:mirrored]
     signs = sign_table(size.bit_length() - 1)
     fold = np.add if sign > 0 else np.subtract
-    step = m if 2 * m <= _FSUM_CUTOFF else min(m, _CHUNK)
+    step = min(m, _CHUNK)
     buf = np.empty((3, step), dtype=np.complex128)
     acc = _CompensatedAccumulator()
     for lo in range(0, m, step):
@@ -129,8 +122,6 @@ def _bracket_sum(a: np.ndarray, sign: int) -> complex:
         inner -= np.multiply(m3[lo:hi], m4[lo:hi], out=buf[2, :wi])
         fold(t[:wi], inner, out=t[:wi])
         t *= signs[lo:hi]
-        if step == m:  # the whole term array in one slab
-            return _compensated_complex_sum(t)
         acc.add(t)
     return acc.total()
 
@@ -165,14 +156,19 @@ def iv_star_shifted(s: StateVector) -> complex:
     return _bracket_sum(s.amplitudes[1 << (s.n - 1):], +1)
 
 
-def odd_invariant(s: StateVector) -> complex:
-    """IVbar**2 - 4 * IV*(lower) * IV*(upper) for odd n >= 3."""
-    _check_odd(s, "odd_invariant")
+def _odd_parts(s: StateVector) -> tuple[complex, complex, complex, complex]:
+    """IVbar, IV*(lower), IV*(upper) and IVbar**2 - 4 * IV*(lower) * IV*(upper)."""
     bar = iv_bar(s)
     half = 1 << (s.n - 1)
     low = _bracket_sum(s.amplitudes[:half], +1)
     high = _bracket_sum(s.amplitudes[half:], +1)
-    return bar * bar - 4.0 * low * high
+    return bar, low, high, bar * bar - 4.0 * low * high
+
+
+def odd_invariant(s: StateVector) -> complex:
+    """IVbar**2 - 4 * IV*(lower) * IV*(upper) for odd n >= 3."""
+    _check_odd(s, "odd_invariant")
+    return _odd_parts(s)[3]
 
 
 def tau(s: StateVector) -> float:
@@ -242,10 +238,7 @@ def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantRepor
                                iv_star=star, iv_bar=None, iv_star_shifted=None,
                                odd_invariant=None, vanishing=MappingProxyType(flags))
     threshold4 = vanishing_threshold(nsq, tol, 4)
-    bar = iv_bar(s)
-    low = iv_star_lower(s)
-    high = iv_star_shifted(s)
-    combo = bar * bar - 4.0 * low * high
+    bar, low, high, combo = _odd_parts(s)
     flags = {
         "iv_star": abs(low) <= threshold,
         "iv_bar": abs(bar) <= threshold,

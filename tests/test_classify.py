@@ -151,22 +151,25 @@ def test_witness_errors_are_package_errors():
 
 
 def object_loop_flags(s1, s2, tol=1e-10):
-    """The D/F flags from a per-object loop over the signature views."""
+    """The D/F flags from a per-entry index loop over the signature arrays."""
     include_f = s1.n <= 4
     sig1 = criteria_signature(s1, tol, include_f=include_f)
     sig2 = criteria_signature(s2, tol, include_f=include_f)
+
+    def size(d, *at):
+        return abs(complex(d.re[at], d.im[at]))
+
     flags = []
-    for d1, d2, v1, v2 in zip(sig1.d_values, sig2.d_values,
-                              sig1.d_vanishing, sig2.d_vanishing):
-        for slot, (b1, b2) in enumerate(zip(v1, v2), start=1):
-            if b1 != b2:
-                val1, val2 = getattr(d1, f"d{slot}"), getattr(d2, f"d{slot}")
-                flags.append(f"D{slot}[{d1.i}] vanishing differs: "
-                             f"{abs(val1):.3e} vs {abs(val2):.3e}")
-    for t, b1 in sig1.f_vanishing.items():
-        if b1 != sig2.f_vanishing[t]:
-            flags.append(f"F{tuple(t)} vanishing differs: "
-                         f"{abs(sig1.f_values[t]):.3e} vs {abs(sig2.f_values[t]):.3e}")
+    for i in range(len(sig1.d.re)):
+        for slot in range(3):
+            if sig1.d.vanishing[i, slot] != sig2.d.vanishing[i, slot]:
+                flags.append(f"D{slot + 1}[{i}] vanishing differs: "
+                             f"{size(sig1.d, i, slot):.3e} vs {size(sig2.d, i, slot):.3e}")
+    for row in range(len(sig1.f_tuples)):
+        if sig1.f.vanishing[row] != sig2.f.vanishing[row]:
+            t = tuple(int(u) for u in sig1.f_tuples[row])
+            flags.append(f"F{t} vanishing differs: "
+                         f"{size(sig1.f, row):.3e} vs {size(sig2.f, row):.3e}")
     return tuple(flags)
 
 

@@ -266,8 +266,15 @@ def test_invariant_tol_flag_changes_vanishing(tmp_path, capsys):
 
 
 def test_bad_flag_values_exit_via_argparse(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--theorem", "1", "--n", "4", "--trials", "0", "--seed", "1"])
-    with pytest.raises(SystemExit):
-        main(["invariant", "--input", "x.json", "--tol", "-1"])
-    capsys.readouterr()
+    # usage errors exit 1 with one line, never 2: compare keeps 2 for
+    # ProvablyInequivalent
+    bad = [["verify", "--theorem", "1", "--n", "4", "--trials", "0", "--seed", "1"],
+           ["compare", "a.json", "b.json", "--tol", "x"], ["frobnicate"], []]
+    for tol in ("-1", "0", "nan", "inf"):
+        bad += [["invariant", "--input", "x.json", "--tol", tol],
+                ["compare", "a.json", "b.json", "--tol", tol]]
+    for argv in bad:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from sloccinv import (
-    FSubscripts,
     IndexOutOfRange,
     TooFewQubits,
     achieved_pair_sums,
     cluster_c,
     criteria_signature,
-    d_criteria,
     f_enumerate,
     f_evaluate,
     ghz,
     new_state,
     w_state,
 )
+from sloccinv.criteria import _d_values
 
 RNG = np.random.default_rng(271828)
 
@@ -26,6 +25,12 @@ RNG = np.random.default_rng(271828)
 def rand_state(n, rng=RNG):
     amps = rng.uniform(-1, 1, 1 << n) + 1j * rng.uniform(-1, 1, 1 << n)
     return new_state(n, amps / np.linalg.norm(amps))
+
+
+def d_rows(s):
+    """D1..D3 of every block as complex values, one row per block."""
+    d = criteria_signature(s, include_f=False).d
+    return (d.re + 1j * d.im).tolist()
 
 
 def naive_f_enumerate(n):
@@ -40,78 +45,87 @@ def naive_f_enumerate(n):
                 continue
             if not (i ^ j) == (k ^ l) == (p ^ q) == (r ^ s):
                 continue
-            t = FSubscripts(i, j, k, l, p, q, r, s)
             if total % 2:
-                ok = t.j - 1 >= 0 and t.q - 1 >= 0 and t.l + 1 < size and t.s + 1 < size
+                ok = j - 1 >= 0 and q - 1 >= 0 and l + 1 < size and s + 1 < size
             else:
-                ok = t.j - 2 >= 0 and t.q - 2 >= 0 and t.l + 2 < size and t.s + 2 < size
+                ok = j - 2 >= 0 and q - 2 >= 0 and l + 2 < size and s + 2 < size
             if ok:
-                found.append(t)
-    found.sort(key=lambda t: (t.i + t.j, t.i, t.k, t.p, t.r))
+                found.append([i, j, k, l, p, q, r, s])
+    found.sort(key=lambda t: (t[0] + t[1], t[0], t[2], t[4], t[6]))
     return found
 
 
 def test_d_criteria_ghz4_all_zero():
-    (d,) = d_criteria(ghz(4))
-    assert d.d1 == d.d2 == d.d3 == 0
+    (d,) = d_rows(ghz(4))
+    assert d == [0, 0, 0]
 
 
 def test_d_criteria_cluster_value():
-    (d,) = d_criteria(cluster_c())
-    assert d.d2 == pytest.approx(1 / 36, rel=1e-14)
-    assert d.d1 == pytest.approx(-1 / 36, rel=1e-14)
-    assert d.d3 == pytest.approx(1 / 36, rel=1e-14)
+    ((d1, d2, d3),) = d_rows(cluster_c())
+    assert d2 == pytest.approx(1 / 36, rel=1e-14)
+    assert d1 == pytest.approx(-1 / 36, rel=1e-14)
+    assert d3 == pytest.approx(1 / 36, rel=1e-14)
 
 
 def test_d_criteria_block_count():
-    assert len(d_criteria(rand_state(5))) == 2
-    assert len(d_criteria(rand_state(7))) == 8
+    assert criteria_signature(rand_state(5)).d.re.shape == (2, 3)
+    assert criteria_signature(rand_state(7)).d.re.shape == (8, 3)
 
 
 def test_d_criteria_too_few_qubits():
     with pytest.raises(TooFewQubits):
-        d_criteria(ghz(3))
+        _d_values(ghz(3).amplitudes, 3)
+    d = criteria_signature(ghz(3)).d
+    assert d.re.shape == d.vanishing.shape == (0, 3)
 
 
 def test_d_criteria_literal_transcription_n4():
     s = rand_state(4)
     a = s.amplitudes
-    (d,) = d_criteria(s)
+    ((got1, got2, got3),) = d_rows(s)
     d1 = (a[1] * a[4] - a[0] * a[5]) * (a[11] * a[14] - a[10] * a[15]) \
         - (a[3] * a[6] - a[2] * a[7]) * (a[9] * a[12] - a[8] * a[13])
     d2 = (a[4] * a[7] - a[5] * a[6]) * (a[8] * a[11] - a[9] * a[10]) \
         - (a[0] * a[3] - a[1] * a[2]) * (a[12] * a[15] - a[13] * a[14])
     d3 = (a[3] * a[5] - a[1] * a[7]) * (a[10] * a[12] - a[8] * a[14]) \
         - (a[2] * a[4] - a[0] * a[6]) * (a[11] * a[13] - a[9] * a[15])
-    assert d.d1 == pytest.approx(d1, rel=1e-13)
-    assert d.d2 == pytest.approx(d2, rel=1e-13)
-    assert d.d3 == pytest.approx(d3, rel=1e-13)
+    assert got1 == pytest.approx(d1, rel=1e-13)
+    assert got2 == pytest.approx(d2, rel=1e-13)
+    assert got3 == pytest.approx(d3, rel=1e-13)
 
 
 def test_d_degree_four_homogeneity():
     s = rand_state(5)
     c = 1.3 - 0.4j
     scaled = new_state(5, c * s.amplitudes)
-    for d, ds in zip(d_criteria(s), d_criteria(scaled)):
-        assert ds.d1 == pytest.approx(c ** 4 * d.d1, rel=1e-12, abs=1e-18)
-        assert ds.d2 == pytest.approx(c ** 4 * d.d2, rel=1e-12, abs=1e-18)
-        assert ds.d3 == pytest.approx(c ** 4 * d.d3, rel=1e-12, abs=1e-18)
+    for row, row_scaled in zip(d_rows(s), d_rows(scaled)):
+        for d, ds in zip(row, row_scaled):
+            assert ds == pytest.approx(c ** 4 * d, rel=1e-12, abs=1e-18)
 
 
 def test_f_enumerate_n3():
     tuples = f_enumerate(3)
-    assert tuples == (FSubscripts(0, 7, 1, 6, 2, 5, 3, 4),)
-    assert all(t.i + t.j != 6 for t in tuples)
+    assert tuples.tolist() == [[0, 7, 1, 6, 2, 5, 3, 4]]
+    assert all(i + j != 6 for i, j, *_ in tuples.tolist())
 
 
 def test_f_enumerate_matches_naive_oracle():
     for n in (3, 4):
-        assert list(f_enumerate(n)) == naive_f_enumerate(n), n
+        assert f_enumerate(n).tolist() == naive_f_enumerate(n), n
+
+
+def test_f_enumerate_is_the_cached_read_only_signature_array():
+    tuples = f_enumerate(4)
+    assert tuples.dtype == np.int64 and tuples.shape == (78, 8)
+    assert not tuples.flags.writeable
+    with pytest.raises(ValueError):
+        tuples[0, 0] = 1
+    assert f_enumerate(4) is tuples
+    assert criteria_signature(rand_state(4)).f_tuples is tuples
 
 
 def test_f_enumerate_constraints_hold():
-    for t in f_enumerate(4):
-        i, j, k, l, p, q, r, s = t
+    for i, j, k, l, p, q, r, s in f_enumerate(4).tolist():
         assert i < j and k < l and p < q and r < s and i < k < p < r
         assert i + j == k + l == p + q == r + s
         assert i ^ j == k ^ l == p ^ q == r ^ s
@@ -129,12 +143,12 @@ def test_f_enumerate_too_few_qubits():
 
 
 def test_f_evaluate_ghz3():
-    t = FSubscripts(0, 7, 1, 6, 2, 5, 3, 4)
+    t = (0, 7, 1, 6, 2, 5, 3, 4)
     assert f_evaluate(ghz(3), t) == pytest.approx(0.25)
 
 
 def test_f_evaluate_w3():
-    t = FSubscripts(0, 7, 1, 6, 2, 5, 3, 4)
+    t = (0, 7, 1, 6, 2, 5, 3, 4)
     assert f_evaluate(w_state(3), t) == 0
 
 
@@ -142,10 +156,10 @@ def test_f_evaluate_even_sum_branch():
     # even-sum tuples use the +/-2 shifts; check against a literal evaluation
     s = rand_state(4)
     a = s.amplitudes
-    t = next(t for t in f_enumerate(4) if (t.i + t.j) % 2 == 0)
-    head = (a[t.i] * a[t.j] + a[t.k] * a[t.l] - a[t.p] * a[t.q] - a[t.r] * a[t.s]) ** 2
-    tail = 4 * (a[t.i] * a[t.j - 2] - a[t.p] * a[t.q - 2]) \
-             * (a[t.k] * a[t.l + 2] - a[t.r] * a[t.s + 2])
+    t = next(t for t in f_enumerate(4).tolist() if (t[0] + t[1]) % 2 == 0)
+    i, j, k, l, p, q, r, u = t
+    head = (a[i] * a[j] + a[k] * a[l] - a[p] * a[q] - a[r] * a[u]) ** 2
+    tail = 4 * (a[i] * a[j - 2] - a[p] * a[q - 2]) * (a[k] * a[l + 2] - a[r] * a[u + 2])
     assert f_evaluate(s, t) == pytest.approx(complex(head - tail), rel=1e-13)
 
 
@@ -153,44 +167,43 @@ def test_f_degree_four_homogeneity():
     s = rand_state(4)
     c = 0.7 + 0.2j
     scaled = new_state(4, c * s.amplitudes)
-    for t in list(f_enumerate(4))[:10]:
+    for t in f_enumerate(4)[:10]:
         assert f_evaluate(scaled, t) == pytest.approx(
             c ** 4 * f_evaluate(s, t), rel=1e-12, abs=1e-18)
 
 
 def test_f_evaluate_rejects_bad_subscripts():
     with pytest.raises(IndexOutOfRange):
-        f_evaluate(ghz(3), FSubscripts(0, 7, 1, 6, 2, 5, 3, 99))
+        f_evaluate(ghz(3), (0, 7, 1, 6, 2, 5, 3, 99))
     # raw indices fit but a shifted subscript leaves the range
     with pytest.raises(IndexOutOfRange):
-        f_evaluate(ghz(3), FSubscripts(0, 7, 1, 6, 2, 5, 6, 7))  # odd sum, s+1 = 8
+        f_evaluate(ghz(3), (0, 7, 1, 6, 2, 5, 6, 7))  # odd sum, s+1 = 8
     with pytest.raises(IndexOutOfRange):
-        f_evaluate(ghz(3), FSubscripts(0, 2, 1, 7, 2, 5, 3, 4))  # even sum, l+2 = 9
+        f_evaluate(ghz(3), (0, 2, 1, 7, 2, 5, 3, 4))  # even sum, l+2 = 9
 
 
 def test_signature_vanishing_consistency():
     sig = criteria_signature(cluster_c())
-    (d,) = sig.d_values
-    (v,) = sig.d_vanishing
-    assert v == (False, False, False)
+    assert sig.d.vanishing.tolist() == [[False, False, False]]
     assert sig.f_included
-    for t, val in sig.f_values.items():
-        assert sig.f_vanishing[t] == (abs(val) <= sig.tol), t
+    for row, (re, im) in enumerate(zip(sig.f.re.tolist(), sig.f.im.tolist())):
+        assert sig.f.vanishing[row] == (abs(complex(re, im)) <= sig.tol), row
 
 
 def test_signature_ghz4_d_all_vanish_f_not_all():
     sig = criteria_signature(ghz(4))
-    assert sig.d_vanishing[0] == (True, True, True)
-    assert any(not v for v in sig.f_vanishing.values())
+    assert sig.d.vanishing[0].tolist() == [True, True, True]
+    assert not sig.f.vanishing.all()
 
 
 def test_signature_f_excluded_for_large_n():
     sig = criteria_signature(rand_state(7))
     assert not sig.f_included
-    assert len(sig.d_values) == 8
+    assert len(sig.d.re) == 8
+    assert sig.f_tuples.shape == sig.f.re.shape + (8,) == (0, 8)
 
 
 def test_signature_n3_is_f_only():
     sig = criteria_signature(ghz(3))
-    assert sig.d_values == ()
-    assert sig.f_included and len(sig.f_values) == 1
+    assert sig.d.re.size == 0
+    assert sig.f_included and len(sig.f.re) == len(sig.f_tuples) == 1

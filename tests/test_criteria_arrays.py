@@ -15,12 +15,10 @@ import numpy as np
 import pytest
 
 from sloccinv import (
-    FSubscripts,
     achieved_pair_sums,
     cluster_c,
     complement,
     criteria_signature,
-    d_criteria,
     f_enumerate,
     f_evaluate,
     ghz,
@@ -83,30 +81,32 @@ def class_f_enumerate(n):
         for v in range(u + 1, size):
             classes.setdefault((u + v, u ^ v), []).append((u, v))
     found = []
-    for pairs in classes.values():
+    for (total, _), pairs in classes.items():
         for quad in combinations(pairs, 4):
-            t = FSubscripts(*quad[0], *quad[1], *quad[2], *quad[3])
-            d = 1 if t.pair_sum % 2 else 2
-            if t.j - d >= 0 and t.q - d >= 0 and t.l + d < size and t.s + d < size:
-                found.append(t)
-    found.sort(key=lambda t: (t.pair_sum, t.i, t.k, t.p, t.r))
+            i, j, k, l, p, q, r, s = (u for pair in quad for u in pair)
+            d = 1 if total % 2 else 2
+            if j - d >= 0 and q - d >= 0 and l + d < size and s + d < size:
+                found.append([i, j, k, l, p, q, r, s])
+    found.sort(key=lambda t: (t[0] + t[1], t[0], t[2], t[4], t[6]))
     return found
 
 
 def dict_signature(sig):
-    """The signature's JSON document built as plain dicts from the object views."""
-    def pair(z):
-        return [z.real, z.imag]
+    """The signature's JSON document built as plain dicts, one entry at a time."""
+    def pair(re, im):
+        return [float(re), float(im)]
 
     return {
         "n": sig.n,
         "tol": sig.tol,
-        "d_criteria": [{"i": d.i, "d1": pair(d.d1), "d2": pair(d.d2), "d3": pair(d.d3),
-                        "vanishing": list(v)}
-                       for d, v in zip(sig.d_values, sig.d_vanishing)],
-        "f_criteria": [{"subscripts": list(t), "value": pair(v),
-                        "vanishing": sig.f_vanishing[t]}
-                       for t, v in sig.f_values.items()] if sig.f_included else None,
+        "d_criteria": [{"i": i, **{f"d{slot + 1}": pair(sig.d.re[i, slot], sig.d.im[i, slot])
+                                   for slot in range(3)},
+                        "vanishing": [bool(v) for v in sig.d.vanishing[i]]}
+                       for i in range(len(sig.d.re))],
+        "f_criteria": [{"subscripts": [int(u) for u in sig.f_tuples[row]],
+                        "value": pair(sig.f.re[row], sig.f.im[row]),
+                        "vanishing": bool(sig.f.vanishing[row])}
+                       for row in range(len(sig.f_tuples))] if sig.f_included else None,
         "f_included": sig.f_included,
         "note": ("F tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
                  "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] are excluded."),
@@ -118,10 +118,8 @@ def test_d_values_and_masks_match_scalar_loop(name):
     s = GOLDEN[name]
     sig = criteria_signature(s, include_f=False)
     expected = scalar_d_values(s)
-    got = [z for d in d_criteria(s) for z in (d.d1, d.d2, d.d3)]
+    got = [complex(re, im) for re, im in zip(sig.d.re.ravel(), sig.d.im.ravel())]
     np.testing.assert_array_equal(bits(got), bits(expected))
-    got_sig = [z for d in sig.d_values for z in (d.d1, d.d2, d.d3)]
-    np.testing.assert_array_equal(bits(got_sig), bits(expected))
     nsq = s.norm_squared()
     assert sig.d.vanishing.ravel().tolist() == \
         [vanishing(z, nsq, sig.tol, 4) for z in expected]
@@ -134,7 +132,7 @@ def test_f_values_and_masks_match_f_evaluate(name):
     sig = criteria_signature(s, include_f=True)
     stride = F_SAMPLE_STRIDE.get(s.n, 1)
     rows = range(0, len(sig.f_tuples), stride)
-    keys = [FSubscripts(*sig.f_tuples[r].tolist()) for r in rows]
+    keys = [tuple(sig.f_tuples[r].tolist()) for r in rows]
     expected = [f_evaluate(s, t) for t in keys]
     got = [complex(sig.f.re[r], sig.f.im[r]) for r in rows]
     np.testing.assert_array_equal(bits(got), bits(expected))
@@ -142,8 +140,7 @@ def test_f_values_and_masks_match_f_evaluate(name):
     assert [bool(sig.f.vanishing[r]) for r in rows] == \
         [vanishing(z, nsq, sig.tol, 4) for z in expected]
     if stride == 1:
-        np.testing.assert_array_equal(bits(sig.f_values.values()), bits(expected))
-        assert list(sig.f_values) == keys == list(f_enumerate(s.n))
+        assert sig.f_tuples is f_enumerate(s.n)
 
 
 def test_signed_zeros_are_exercised():
@@ -157,9 +154,9 @@ def test_signed_zeros_are_exercised():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_closed_form_enumeration_matches_class_enumeration(n):
-    tuples = f_enumerate(n)
-    assert list(tuples) == class_f_enumerate(n)
-    assert achieved_pair_sums(n) == sorted({t.pair_sum for t in tuples})
+    tuples = f_enumerate(n).tolist()
+    assert tuples == class_f_enumerate(n)
+    assert achieved_pair_sums(n) == sorted({t[0] + t[1] for t in tuples})
 
 
 def test_tuple_counts():

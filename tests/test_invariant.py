@@ -24,11 +24,7 @@ from sloccinv import (
     w_state,
 )
 from sloccinv.errors import NormOverflow, SloccInvError
-from sloccinv.invariant import (
-    _CompensatedAccumulator,
-    _compensated_complex_sum,
-    vanishing_threshold,
-)
+from sloccinv.invariant import _LANES, _CompensatedAccumulator, vanishing_threshold
 from sloccinv.signtab import sign_star_table
 
 RNG = np.random.default_rng(20260810)
@@ -41,11 +37,20 @@ def rand_state(n, rng=RNG):
 
 # --- compensated summation ------------------------------------------------
 
+def lane_sum(x):
+    """The accumulator's sum of x fed in one piece."""
+    acc = _CompensatedAccumulator()
+    acc.add(x)
+    return acc.total()
+
+
 def test_csum_matches_fsum_small():
+    # at most _LANES floats: one float per lane, so exactly math.fsum's bits
     rng = np.random.default_rng(0)
-    x = rng.normal(0, 1, 300) + 1j * rng.normal(0, 1, 300)
-    ref = complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
-    assert _compensated_complex_sum(x) == ref
+    for count in (300, 1, _LANES // 2):
+        x = rng.normal(0, 1, count) + 1j * rng.normal(0, 1, count)
+        ref = complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
+        assert lane_sum(x) == ref, count
 
 
 def test_csum_matches_fsum_large_cancellation():
@@ -54,29 +59,29 @@ def test_csum_matches_fsum_large_cancellation():
     x = np.concatenate([half, -half, rng.normal(0, 1e-14, 64) + 0j])
     rng.shuffle(x)
     ref = complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
-    got = _compensated_complex_sum(x)
+    got = lane_sum(x)
     assert abs(got - ref) <= 1e-16 * np.sum(np.abs(x))
 
 
 def test_csum_magnitude_contrast():
     x = np.concatenate([np.full(500, 1e15), np.full(500, 1.0),
                         np.full(500, -1e15), np.full(500, 1.0)]).astype(np.complex128)
-    assert _compensated_complex_sum(x) == 1000.0 + 0j
+    assert lane_sum(x) == 1000.0 + 0j
 
 
 def test_csum_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1, 100000) + 1j * rng.normal(0, 1, 100000)
-    assert _compensated_complex_sum(x) == _compensated_complex_sum(x.copy())
+    assert lane_sum(x) == lane_sum(x.copy())
 
 
 def test_lane_path_keeps_every_rounding_error():
-    # above the fsum cutoff 1e16 + 1 rounds to 1e16 in every lane; only
-    # the TwoSum compensation keeps the ones
+    # 1e16 + 1 rounds to 1e16 in every lane; only the TwoSum compensation
+    # keeps the ones
     k = 1 << 13
     x = np.concatenate([np.full(k, 1e16), np.full(k, 1.0), np.full(k, -1e16),
                         np.full(k, 1.0)]) * (1 + 1j)
-    assert _compensated_complex_sum(x) == 2 * k * (1 + 1j)
+    assert lane_sum(x) == 2 * k * (1 + 1j)
 
 
 def test_lane_path_bits_do_not_depend_on_chunking():
@@ -90,13 +95,12 @@ def test_lane_path_bits_do_not_depend_on_chunking():
         acc = _CompensatedAccumulator()
         for lo in range(0, x.size, 3001):
             acc.add(x[lo:lo + 3001])
-        assert acc.total() == _compensated_complex_sum(x), seed
+        assert acc.total() == lane_sum(x), seed
 
 
 def test_chunked_streaming_matches_one_shot(monkeypatch):
-    # above the fsum cutoff both paths fold identical lane rows: bit-equal.
-    # n=17, not 15: the n=14 half-blocks of n=15 fold to 2**11 terms, 4096
-    # floats, which the one-shot side would sum with fsum
+    # lanes follow float positions, so slabs of any size fill identical
+    # lane rows: bit-equal.  n=16 and 17 stream several lane rows
     import sloccinv.invariant as inv
 
     even = rand_state(16)
@@ -108,8 +112,8 @@ def test_chunked_streaming_matches_one_shot(monkeypatch):
 
 
 def test_chunked_streaming_accuracy_below_cutoff(monkeypatch):
-    # below the cutoff the whole term array is one slab summed with exact
-    # fsum, whatever the slab size
+    # at most _LANES floats per term array: one float per lane, so the sum
+    # is exactly math.fsum's whatever the slab size
     import sloccinv.invariant as inv
 
     even = rand_state(12)
@@ -217,8 +221,9 @@ def _pair_magnitude(x):
 def test_invariants_match_the_thue_morse_form():
     # First-order rounding of the kernel: sqrt(5) u for each complex
     # product, u for the bracket difference, u for the fold, 2u for the
-    # compensated sum; plus u for rounding the reference.  Up to n=14
-    # every term array is summed by math.fsum; n=15..18 take the lane path.
+    # compensated sum; plus u for rounding the reference.  Up to n=15
+    # every term array has one float per lane, so its sum is math.fsum's;
+    # n=16..18 stream several lane rows.
     rng = np.random.default_rng(20261018)
     bound = (math.sqrt(5) + 5) * U
     for n in range(2, 19):
