@@ -57,13 +57,11 @@ from .oracle import (
 )
 from .signtab import sign, sign_star, sign_star_table, sign_table
 from .slocc import (
-    LocalOperator,
     LocalOperatorChain,
     apply_chain,
     chain_of,
     det_product,
     identity_chain,
-    local_operator,
     random_chain,
     sigma_x_chain,
     verify_theorem1,
@@ -90,7 +88,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZero", "BadArgs", "BadWitness", "CriteriaSignature",
     "DEFAULT_TOL", "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "IndexOutOfRange",
-    "InvariantReport", "LengthMismatch", "LocalOperator", "LocalOperatorChain",
+    "InvariantReport", "LengthMismatch", "LocalOperatorChain",
     "ORACLE_LABELS", "PROVABLY_INEQUIVALENT", "ParityError", "ParseError",
     "SizeMismatch", "SloccInvError", "StateVector", "TooFewQubits",
     "UNDETERMINED", "Verdict", "achieved_pair_sums", "apply_chain", "chain_of",
@@ -98,7 +96,7 @@ __all__ = [
     "det_product", "dual_equivalence", "f_enumerate", "f_evaluate",
     "from_json_dict", "ghz", "identity_chain", "invariant_report", "iv_bar",
     "iv_star", "iv_star_lower", "iv_star_shifted", "load_state",
-    "local_operator", "new_state", "normalize", "odd_invariant", "oracle_iv2",
+    "new_state", "normalize", "odd_invariant", "oracle_iv2",
     "oracle_iv4", "oracle_iv6", "oracle_odd3", "oracle_odd5", "random_chain",
     "random_state", "save_state", "sigma_x_chain", "sign", "sign_star",
     "sign_star_table", "sign_table", "tau", "tensor", "to_json_dict",

@@ -84,9 +84,9 @@ def compare(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL,
     if s1.n != s2.n:
         raise SizeMismatch(f"cannot compare n={s1.n} with n={s2.n}")
     if witness is not None:
-        if len(witness.ops) != s1.n:
-            raise SizeMismatch(f"witness has {len(witness.ops)} operators for n={s1.n}")
-        if not all(op.is_invertible(INVERTIBLE_TOL) for op in witness.ops):
+        if len(witness) != s1.n:
+            raise SizeMismatch(f"witness has {len(witness)} operators for n={s1.n}")
+        if not np.all(np.abs(witness.dets) > INVERTIBLE_TOL):
             raise BadWitness("witness chain contains a non-invertible operator")
         mapped = apply_chain(witness, s1)
         scale = float(np.max(np.abs(s2.amplitudes))) or 1.0

@@ -20,6 +20,17 @@ DEFAULT_MAX_N = 26      # 2**26 complex amplitudes ~= 1 GiB; override with --max
 VERIFY_GATE = 1e-8
 
 
+def _checked(kind, accept, rule: str):
+    """An argparse type: kind(text), refused unless accept(value) holds."""
+    def parse(text: str):
+        value = kind(text)  # a ValueError reads "invalid <kind> value"
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _check_n(n: int, max_n: int, floor: int = 1) -> int:
     if n < floor:
         raise BadArgs(f"need n >= {floor}, got {n}")
@@ -146,8 +157,7 @@ def cmd_apply(args) -> int:
     result = slocc.apply_chain(chain, s)
     statevec.save_state(result, args.output)
     if args.print_dets:
-        for idx, op in enumerate(chain.ops, start=1):
-            d = op.det
+        for idx, d in enumerate(chain.dets.tolist(), start=1):
             print(f"det[{idx}] = {d.real:.17g}{d.imag:+.17g}j")
         prod = slocc.det_product(chain)
         print(f"det_product = {prod.real:.17g}{prod.imag:+.17g}j")
@@ -182,19 +192,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=invariant.DEFAULT_TOL,
-                        help="vanishing tolerance (default 1e-10)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                        help=f"qubit-count cap (default {DEFAULT_MAX_N})")
+    max_n = _Parser(add_help=False)
+    max_n.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                       help=f"qubit-count cap (default {DEFAULT_MAX_N})")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", default=invariant.DEFAULT_TOL,
+                     type=_checked(float, lambda t: math.isfinite(t) and t > 0,
+                                   "finite and positive"),
+                     help="vanishing tolerance, finite and positive (default 1e-10)")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     parser = _Parser(prog="sloccinv",
                      description="SLOCC invariants and residual "
                                  "entanglement for n-qubit states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_make = sub.add_parser("make", parents=[common], help="write a state file")
+    p_make = sub.add_parser("make", parents=[max_n, seed], help="write a state file")
     p_make.add_argument("kind", choices=["ghz", "w", "cluster-c", "random",
                                          "product", "complement"])
     p_make.add_argument("inputs", nargs="*", help="input state files (product/complement)")
@@ -202,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("-o", "--output", default=None)
     p_make.set_defaults(func=cmd_make)
 
-    p_inv = sub.add_parser("invariant", parents=[common],
+    p_inv = sub.add_parser("invariant", parents=[max_n, tol],
                            help="invariant/criteria report for a state file")
     p_inv.add_argument("--input", required=True)
     p_inv.add_argument("--oracle", action="store_true",
                        help="include the hard-coded small-n oracle values")
     p_inv.set_defaults(func=cmd_invariant)
 
-    p_crit = sub.add_parser("criteria", parents=[common],
+    p_crit = sub.add_parser("criteria", parents=[max_n, tol],
                             help="D/F criteria for a state, or enumerate F tuples")
     p_crit.add_argument("action", nargs="?", choices=["enumerate"])
     p_crit.add_argument("--input", default=None)
@@ -219,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allow F enumeration beyond the practical cap")
     p_crit.set_defaults(func=cmd_criteria)
 
-    p_cmp = sub.add_parser("compare", parents=[common],
+    p_cmp = sub.add_parser("compare", parents=[max_n, tol],
                            help="compare two state files (exit 2 = provably inequivalent)")
     p_cmp.add_argument("state_a")
     p_cmp.add_argument("state_b")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_apply = sub.add_parser("apply", parents=[common],
+    p_apply = sub.add_parser("apply", parents=[max_n],
                              help="apply a local-operator chain to a state file")
     p_apply.add_argument("--input", required=True)
     p_apply.add_argument("--ops", required=True)
@@ -233,14 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--print-dets", action="store_true")
     p_apply.set_defaults(func=cmd_apply)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[max_n, seed],
                               help="randomized check of a determinant transform law")
     p_verify.add_argument("--theorem", type=int, choices=[1, 2], required=True)
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--trials", default=100,
+                          type=_checked(int, lambda t: t >= 1, "at least 1"))
     p_verify.set_defaults(func=cmd_verify)
 
-    p_signs = sub.add_parser("signs", parents=[common], help="dump a sign table")
+    p_signs = sub.add_parser("signs", parents=[max_n], help="dump a sign table")
     p_signs.add_argument("--n", type=int, required=True)
     p_signs.add_argument("--star", action="store_true")
     p_signs.set_defaults(func=cmd_signs)
@@ -251,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise BadArgs(f"--tol must be finite and positive, got {args.tol}")
-        if getattr(args, "trials", 1) < 1:
-            raise BadArgs("--trials must be at least 1")
         return args.func(args)
     except (SloccInvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Invertible local-operator chains and the determinant transform laws.
 
+A chain A_1 x ... x A_n is one read-only (n, 2, 2) complex128 array, and
+the laws see it only through those matrices and their determinants, dets.
 apply_chain sweeps the n 2x2 operators over the amplitude vector in
 O(n * 2**n) time and O(2**n) extra space: the leading qubits four at a
 time as 16x16 Kronecker blocks, the last six or fewer as one row GEMM.
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import LengthMismatch, ParityError, ParseError
 from .invariant import iv_star, odd_invariant
-from .statevec import StateVector, _random_amplitudes, _wrap
+from .statevec import StateVector, _complex_pairs, _random_amplitudes, _wrap
 
 INVERTIBLE_TOL = 1e-12     # |det| above this counts as invertible
 _MIN_RANDOM_DET = 0.1      # random operators below this are redrawn
@@ -35,41 +37,32 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _IDENTITY = np.eye(2, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class LocalOperator:
-    """A 2x2 complex operator acting on one qubit."""
-
-    entries: np.ndarray
-
-    @property
-    def det(self) -> complex:
-        m = self.entries
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-    def is_invertible(self, tol: float = INVERTIBLE_TOL) -> bool:
-        return abs(self.det) > tol
-
-
-def local_operator(entries) -> LocalOperator:
-    m = np.array(entries, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise LengthMismatch(f"local operator must be 2x2, got shape {m.shape}")
-    m.setflags(write=False)
-    return LocalOperator(entries=m)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperatorChain:
-    """Ordered operators; position k acts on qubit k+1 (qubit 1 = MSB)."""
+    """A read-only (n, 2, 2) complex128 array; ops[k] acts on qubit k+1 (qubit 1 = MSB)."""
 
-    ops: tuple[LocalOperator, ...]
+    ops: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ops)
 
+    @property
+    def dets(self) -> np.ndarray:
+        """Each m00*m11 - m01*m10 in scalar arithmetic (array loops may use FMA)."""
+        return np.array([m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in self.ops],
+                        dtype=np.complex128)
+
 
 def chain_of(matrices) -> LocalOperatorChain:
-    return LocalOperatorChain(ops=tuple(local_operator(m) for m in matrices))
+    """Copy a (k, 2, 2) array-like into a chain; any other shape raises LengthMismatch."""
+    try:
+        ops = np.array(matrices, dtype=np.complex128)
+    except ValueError:  # ragged nesting
+        raise LengthMismatch("a chain needs (k, 2, 2) operators, got a ragged nesting") from None
+    if ops.shape[1:] != (2, 2):
+        raise LengthMismatch(f"a chain needs (k, 2, 2) operators, got shape {ops.shape}")
+    ops.setflags(write=False)
+    return LocalOperatorChain(ops=ops)
 
 
 def identity_chain(n: int) -> LocalOperatorChain:
@@ -82,8 +75,8 @@ def sigma_x_chain(n: int) -> LocalOperatorChain:
 
 def det_product(chain: LocalOperatorChain) -> complex:
     prod = complex(1.0)
-    for op in chain.ops:
-        prod *= op.det
+    for det in chain.dets.tolist():
+        prod *= det
     return prod
 
 
@@ -133,14 +126,14 @@ def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     vector plus the slab.  The input state is never written.
     """
     n = s.n
-    if len(chain.ops) != n:
-        raise LengthMismatch(f"chain has {len(chain.ops)} operators for n={n}")
+    if len(chain) != n:
+        raise LengthMismatch(f"chain has {len(chain)} operators for n={n}")
     buf = np.empty_like(s.amplitudes)
     scratch = np.empty(min(_SCRATCH_COMPLEX, buf.size), dtype=np.complex128)
     k = 0
     while k < n:
         width = n - k if n - k <= _TAIL else _GROUP
-        op = reduce(np.kron, [m.entries for m in chain.ops[k:k + width]])
+        op = reduce(np.kron, chain.ops[k:k + width])
         if k == 0:
             dim = op.shape[0]
             np.matmul(op, s.amplitudes.reshape(dim, -1), out=buf.reshape(dim, -1))
@@ -151,19 +144,14 @@ def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     return _wrap(n, buf)
 
 
-def _random_operator(rng: np.random.Generator, unit_det: bool) -> LocalOperator:
-    while True:
+def _random_ops(rng: np.random.Generator, n: int, unit_det: bool) -> LocalOperatorChain:
+    ops = []
+    while len(ops) < n:
         m = rng.uniform(-1.0, 1.0, (2, 2)) + 1j * rng.uniform(-1.0, 1.0, (2, 2))
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) >= _MIN_RANDOM_DET:
-            break
-    if unit_det:
-        m = m / cmath.sqrt(det)  # principal branch; only det enters the laws
-    return local_operator(m)
-
-
-def _random_ops(rng: np.random.Generator, n: int, unit_det: bool) -> LocalOperatorChain:
-    return LocalOperatorChain(ops=tuple(_random_operator(rng, unit_det) for _ in range(n)))
+            ops.append(m / cmath.sqrt(det) if unit_det else m)  # any branch: only det enters
+    return chain_of(ops)
 
 
 def random_chain(n: int, seed: int, unit_det: bool = False) -> LocalOperatorChain:
@@ -210,26 +198,14 @@ def verify_theorem2(n: int, trials: int, seed: int) -> float:
 
 def ops_json_dict(chain: LocalOperatorChain) -> dict:
     """{"ops": [[[re,im] x4], ...]} row-major per 2x2 operator."""
-    ops = []
-    for op in chain.ops:
-        flat = op.entries.reshape(4)
-        ops.append([[z.real, z.imag] for z in flat.tolist()])
-    return {"ops": ops}
+    return {"ops": chain.ops.view(np.float64).reshape(-1, 4, 2).tolist()}
 
 
 def ops_from_json_dict(doc) -> LocalOperatorChain:
-    if not isinstance(doc, dict) or "ops" not in doc or not isinstance(doc["ops"], list):
+    """Validate {"ops": [[[re,im] x4], ...]}; entries are checked as in state files."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
         raise ParseError('operator JSON must be {"ops": [[[re,im], ...x4], ...]}')
-    mats = []
-    for entry in doc["ops"]:
-        arr = np.asarray(entry, dtype=object)
-        try:
-            pairs = arr.astype(np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"operator entries must be [re, im] pairs: {exc}") from None
-        if pairs.shape != (4, 2):
-            raise ParseError("each operator needs exactly four [re, im] entries")
-        if not np.all(np.isfinite(pairs)):
-            raise ParseError("operator entries must be finite")
-        mats.append((pairs[:, 0] + 1j * pairs[:, 1]).reshape(2, 2))
-    return chain_of(mats)
+    if not all(isinstance(op, list) and len(op) == 4 for op in doc["ops"]):
+        raise ParseError("each operator needs exactly four [re, im] entries")
+    entries = [pair for op in doc["ops"] for pair in op]
+    return chain_of(_complex_pairs(entries, "operator").reshape(-1, 2, 2))

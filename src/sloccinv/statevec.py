@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import AllZero, LengthMismatch, ParseError, TooFewQubits
+from .errors import AllZero, LengthMismatch, NormOverflow, ParseError, TooFewQubits
 
 NORM_TOL = 1e-12      # |<s|s> - 1| below this marks the state normalized
 _RESCALE_TOL = 1e-15  # normalize() returns its input unchanged this close to 1
@@ -63,12 +63,15 @@ def new_state(n: int, amplitudes) -> StateVector:
 
 def normalize(s: StateVector) -> StateVector:
     """Rescale to unit norm. A no-op (same object) when already within 1e-15 of 1."""
-    nrm = s.norm()
-    if nrm == 0.0:
+    peak = float(np.max(np.abs(s.amplitudes)))
+    if peak == 0.0:
         raise AllZero("cannot normalize the zero vector")
-    if abs(nrm - 1.0) <= _RESCALE_TOL:
+    k = math.frexp(peak)[1]  # the norm of the exact 2**-k * s neither overflows nor underflows
+    scaled = np.ldexp(s.amplitudes.view(np.float64), -k).view(np.complex128)
+    nrm = math.sqrt(float(np.real(np.vdot(scaled, scaled))))
+    if abs(math.ldexp(nrm, k) - 1.0) <= _RESCALE_TOL:
         return s
-    return _wrap(s.n, s.amplitudes / nrm)
+    return _wrap(s.n, scaled / nrm)
 
 
 def ghz(n: int) -> StateVector:
@@ -98,7 +101,8 @@ def cluster_c() -> StateVector:
 
 def tensor(s1: StateVector, s2: StateVector) -> StateVector:
     """Tensor product; s1's qubits become the most significant ones."""
-    return _wrap(s1.n + s2.n, np.kron(s1.amplitudes, s2.amplitudes))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN products: save_state refuses
+        return _wrap(s1.n + s2.n, np.kron(s1.amplitudes, s2.amplitudes))
 
 
 def complement(s: StateVector) -> StateVector:
@@ -143,8 +147,26 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite JSON token {token!r} is not allowed")
 
 
-def _is_number_type(kind: type) -> bool:
-    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+def _complex_pairs(entries: list, what: str) -> np.ndarray:
+    """[re, im] number pairs as complex; NaN/Inf, bools, strings and other lengths raise."""
+    try:  # one C-speed scan over the entries and one over the numbers
+        pair_sizes = set(map(len, entries))
+        kinds = set(map(type, chain.from_iterable(entries)))
+    except TypeError:  # an entry without a length or without items
+        raise ParseError(f"{what} entries must be [re, im] number pairs") from None
+    bad = sorted(k.__name__ for k in kinds
+                 if not issubclass(k, numbers.Real) or issubclass(k, bool))
+    if bad or pair_sizes - {2}:
+        raise ParseError(f"{what} entries must be [re, im] number pairs"
+                         + (f", got {', '.join(bad)}" if bad else ""))
+    try:
+        pairs = np.fromiter(chain.from_iterable(entries), dtype=np.float64,
+                            count=2 * len(entries)).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ParseError(f"{what} out of the float range: {exc}") from None
+    if not np.all(np.isfinite(pairs)):
+        raise ParseError(f"{what}s must be finite (no NaN/Inf)")
+    return pairs[:, 0] + 1j * pairs[:, 1]
 
 
 def from_json_dict(doc) -> StateVector:
@@ -160,23 +182,7 @@ def from_json_dict(doc) -> StateVector:
     entries = doc["amplitudes"]
     if not isinstance(entries, list) or len(entries) != 1 << n:
         raise ParseError(f"expected {1 << n} amplitude entries for n={n}")
-    try:  # one C-speed scan over the entries and one over the numbers
-        pair_sizes = set(map(len, entries))
-        kinds = set(map(type, chain.from_iterable(entries)))
-    except TypeError:  # an entry without a length or without items
-        raise ParseError("amplitude entries must be [re, im] number pairs") from None
-    bad = sorted(k.__name__ for k in kinds if not _is_number_type(k))
-    if bad or pair_sizes != {2}:
-        raise ParseError("amplitude entries must be [re, im] number pairs"
-                         + (f", got {', '.join(bad)}" if bad else ""))
-    try:
-        pairs = np.fromiter(chain.from_iterable(entries), dtype=np.float64,
-                            count=2 << n).reshape(-1, 2)
-    except OverflowError as exc:
-        raise ParseError(f"amplitude out of the float range: {exc}") from None
-    if not np.all(np.isfinite(pairs)):
-        raise ParseError("amplitudes must be finite (no NaN/Inf)")
-    amps = pairs[:, 0] + 1j * pairs[:, 1]
+    amps = _complex_pairs(entries, "amplitude")
     if not np.any(amps):
         raise AllZero("state vector has no nonzero amplitude")
     return _wrap(n, amps)
@@ -203,7 +209,12 @@ def save_state(s: StateVector, path) -> None:
 
     One-shot json.dumps runs the C encoder (json.dump does not); slabs
     keep the nested lists and the text of one slab in memory at a time.
+    A state that load_state would reject raises before the file is opened.
     """
+    if not np.all(np.isfinite(s.amplitudes)):
+        raise NormOverflow(f"{path}: amplitudes out of the float range; not written")
+    if not np.any(s.amplitudes):
+        raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
     head, tail = json.dumps({"n": s.n, "amplitudes": [None]}).split("null")
     pairs = np.column_stack([s.amplitudes.real, s.amplitudes.imag])
     with open(path, "w", encoding="utf-8") as fh:

@@ -137,6 +137,12 @@ def test_compare_with_singular_witness_raises():
     singular = chain_of([np.eye(2), np.eye(2), [[1, 1], [1, 1]]])
     with pytest.raises(ValueError):
         compare(s, s, witness=singular)
+    # diag(1, d) on a last qubit in |0> maps s to s: only |d| decides, against INVERTIBLE_TOL
+    s0 = tensor(random_state(2, seed=4), new_state(1, [1, 0]))
+    with pytest.raises(ValueError, match="non-invertible"):
+        compare(s0, s0, witness=chain_of([np.eye(2), np.eye(2), np.diag([1.0, 1e-13])]))
+    ok = compare(s0, s0, witness=chain_of([np.eye(2), np.eye(2), np.diag([1.0, 1e-11])]))
+    assert ok.outcome == EQUIVALENT_BY_CONSTRUCTION
 
 
 def test_witness_errors_are_package_errors():

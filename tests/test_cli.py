@@ -278,3 +278,79 @@ def test_bad_flag_values_exit_via_argparse(capsys):
         assert code == 1, argv
         assert out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("ops", [
+    '{"ops": [[[true, 0], ["0", 0], [0, false], ["1e0", 0]]]}',
+    '{"ops": [[[1, 0], [0, 0], [0, 0], [1, false]]]}',
+    '{"ops": [[[1, 0], [0, 0], [0, 0], ["1", 0]]]}',
+    '{"ops": [[[1, 0, 0], [0, 0], [0, 0], [1, 0]]]}',
+    '{"ops": [[[1, 0], [0, 0], [1, 0]]]}',
+    '{"ops": [[[1, 0], [0, 0], [0, 0], [1, 0], [0, 0]]]}',
+    '{"ops": ["abcd"]}',
+    '{"ops": [5]}',
+    '{"ops": [[[1e400, 0], [0, 0], [0, 0], [1, 0]]]}',
+    '{"ops": [[[1%s, 0], [0, 0], [0, 0], [1, 0]]]}' % ("0" * 400),
+    '{"ops": [[[NaN, 0], [0, 0], [0, 0], [1, 0]]]}',
+])
+def test_apply_rejects_ops_outside_the_pair_schema(tmp_path, capsys, ops):
+    # operator entries are [re, im] number pairs, parsed as in state files
+    src, ops_file, dst = tmp_path / "g1.json", tmp_path / "ops.json", tmp_path / "out.json"
+    run(capsys, "make", "ghz", "--n", "1", "-o", str(src))
+    ops_file.write_text(ops)
+    assert_one_error_line(*run(capsys, "apply", "--input", str(src), "--ops", str(ops_file),
+                               "--output", str(dst), "--print-dets"))
+    assert not dst.exists()
+
+
+def test_cli_writes_no_state_file_it_could_not_read(tmp_path, capsys):
+    # overflow to inf, underflow to zero, and a zero operator: exit 1, no file
+    for amplitude in (1e200, 1e-200):
+        src, dst = tmp_path / "a.json", tmp_path / "p.json"
+        src.write_text(json.dumps({"n": 1, "amplitudes": [[amplitude, 0], [amplitude, 0]]}))
+        assert_one_error_line(*run(capsys, "make", "product", str(src), str(src), "-o", str(dst)))
+        assert not dst.exists()
+    ops, dst = tmp_path / "zero.json", tmp_path / "z.json"
+    ops.write_text(json.dumps({"ops": [[[0, 0]] * 4]}))
+    assert_one_error_line(*run(capsys, "apply", "--input", str(src), "--ops", str(ops),
+                               "--output", str(dst)))
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["make", "ghz", "--n", "3", "--tol=1e-9"],
+    ["apply", "--input", "a.json", "--ops", "o.json", "--output", "b.json", "--tol=1e-9"],
+    ["verify", "--theorem", "1", "--n", "4", "--trials", "2", "--tol=5"],
+    ["signs", "--n", "4", "--tol=1e-9"],
+    ["invariant", "--input", "a.json", "--seed=1"],
+    ["criteria", "--input", "a.json", "--seed=1"],
+    ["compare", "a.json", "b.json", "--seed=1"],
+    ["apply", "--input", "a.json", "--ops", "o.json", "--output", "b.json", "--seed=1"],
+    ["signs", "--n", "4", "--seed=1"],
+])
+def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_command_takes_max_n(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "make", "ghz", "--n", "3", "-o", "g.json", "--max-n", "3")[0] == 0
+    ops = tmp_path / "ops.json"
+    ops.write_text(json.dumps({"ops": [[[1, 0], [0, 0], [0, 0], [1, 0]]] * 3}))
+    for argv in (["invariant", "--input", "g.json"], ["criteria", "--input", "g.json"],
+                 ["compare", "g.json", "g.json"],
+                 ["apply", "--input", "g.json", "--ops", "ops.json", "--output", "h.json"],
+                 ["verify", "--theorem", "2", "--n", "3", "--trials", "2"],
+                 ["signs", "--n", "3"]):
+        assert run(capsys, *argv, "--max-n", "3")[0] == 0, argv
+        assert_one_error_line(*run(capsys, *argv, "--max-n", "2"))

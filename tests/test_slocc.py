@@ -16,7 +16,6 @@ from sloccinv import (
     ghz,
     identity_chain,
     iv_star,
-    local_operator,
     new_state,
     random_chain,
     random_state,
@@ -38,16 +37,79 @@ def rand_state(n, rng=RNG):
 
 
 def dense_matrix(chain):
-    return reduce(np.kron, [op.entries for op in chain.ops])
+    return reduce(np.kron, chain.ops)
 
 
 def test_local_operator_validation():
-    with pytest.raises(LengthMismatch):
-        local_operator([[1, 0, 0], [0, 1, 0]])
-    op = local_operator([[1, 2], [3, 4]])
-    assert op.det == pytest.approx(-2)
-    assert op.is_invertible()
-    assert not local_operator([[1, 1], [1, 1]]).is_invertible()
+    # chain_of is the one validator: any shape but (k, 2, 2) raises, ragged input too
+    for bad in ([[[1, 0, 0], [0, 1, 0]]], [[1, 2], [3, 4]], [], [[[1, 2], [3]]],
+                [np.eye(2), np.eye(3)], np.zeros((2, 2, 2, 1))):
+        with pytest.raises(LengthMismatch) as exc:
+            chain_of(bad)
+        assert "\n" not in str(exc.value)
+    ch = chain_of([[[1, 2], [3, 4]], [[1, 1], [1, 1]]])
+    assert ch.dets.tolist() == [-2, 0]
+    assert abs(ch.dets[0]) > slocc.INVERTIBLE_TOL
+    assert not abs(ch.dets[1]) > slocc.INVERTIBLE_TOL
+
+
+def test_chain_ops_is_one_read_only_array():
+    for n in (1, 5, 18):
+        ch = random_chain(n, seed=n)
+        assert ch.ops.shape == (n, 2, 2) and ch.ops.dtype == np.complex128
+        assert len(ch) == n
+        with pytest.raises(ValueError):
+            ch.ops[0, 0, 0] = 0
+    src = np.eye(2)[None].repeat(3, axis=0)
+    ch = chain_of(src)
+    src[0, 0, 0] = 7  # chain_of copies its input
+    assert ch.ops[0, 0, 0] == 1
+
+
+def _scalar_dets(chain):
+    """The determinants as a literal loop of numpy complex scalar products."""
+    return [complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) for m in chain.ops]
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def test_dets_and_det_product_match_a_scalar_loop_bit_for_bit():
+    for n, seed, unit in ((1, 0, False), (7, 3, True), (22, 5, False), (22, 6, True)):
+        ch = random_chain(n, seed=seed, unit_det=unit)
+        dets = _scalar_dets(ch)
+        assert _bits(ch.dets.tolist()) == _bits(dets)
+        prod = complex(1.0)
+        for d in dets:
+            prod *= d
+        assert _bits([det_product(ch)]) == _bits([prod])
+    # numpy's complex array loops may fuse with FMA; about half of these would differ
+    ops = np.random.default_rng(2).uniform(-1, 1, (2000, 2, 2, 2)) @ [1, 1j]
+    ch = chain_of(ops)
+    assert _bits(ch.dets.tolist()) == _bits(_scalar_dets(ch))
+
+
+def test_random_chain_entries_are_pinned():
+    # row 0 of the first operator and row 1 of the last, as float.hex of re and im
+    pinned = {
+        (0, False): [["0x1.187f5e7ece140p-2", "0x1.40c9e9e0b3794p-1"],
+                     ["-0x1.d77a103be9318p-2", "0x1.a6a965e699006p-1"],
+                     ["0x1.fd2499f5d7fbcp-1", "0x1.81f05c06b8f50p-2"],
+                     ["0x1.ec60195b384f0p-1", "-0x1.c6fa5434bc698p-3"]],
+        (1, True): [["0x1.a5f9def374c9dp-3", "-0x1.2345e579a2768p-2"],
+                    ["0x1.922e6004290ddp-1", "0x1.4fdf5c1747e81p-2"],
+                    ["-0x1.470498aa6a3c0p-2", "-0x1.b7e59db5b8e33p-2"],
+                    ["-0x1.e1fc351784708p-1", "0x1.c361dcb69fc7bp-3"]],
+        (42, False): [["0x1.1887ef345b648p-1", "-0x1.9f8ff92b31b20p-1"],
+                      ["-0x1.f4b533cb0dc10p-4", "0x1.e7098bb61b1d4p-1"],
+                      ["0x1.4f7e8bc36ee3ep-1", "0x1.e1fea9b4458ccp-1"],
+                      ["0x1.0da6108236cdcp-2", "0x1.928e57ddc8624p-1"]],
+    }
+    for (seed, unit), want in pinned.items():
+        ops = random_chain(3, seed=seed, unit_det=unit).ops
+        got = ops[0, 0].tolist() + ops[2, 1].tolist()
+        assert [[z.real.hex(), z.imag.hex()] for z in got] == want, (seed, unit)
 
 
 def test_identity_chain_is_exact():
@@ -91,7 +153,7 @@ def per_qubit_reference(chain, s):
     """One qubit at a time: contract each operator with its axis of the (2,)*n view."""
     psi = s.amplitudes.reshape((2,) * s.n)
     for k, op in enumerate(chain.ops):
-        psi = np.moveaxis(np.tensordot(op.entries, psi, axes=([1], [k])), 0, k)
+        psi = np.moveaxis(np.tensordot(op, psi, axes=([1], [k])), 0, k)
     return psi.reshape(-1)
 
 
@@ -132,7 +194,7 @@ def test_apply_chain_composition():
     c1 = random_chain(n, seed=11)
     c2 = random_chain(n, seed=22)
     two_step = apply_chain(c2, apply_chain(c1, s)).amplitudes
-    fused = chain_of([b.entries @ a.entries for a, b in zip(c1.ops, c2.ops)])
+    fused = chain_of(c2.ops @ c1.ops)
     one_step = apply_chain(fused, s).amplitudes
     np.testing.assert_allclose(two_step, one_step, rtol=1e-12, atol=1e-15)
 
@@ -153,10 +215,8 @@ def test_det_product_examples():
 def test_random_chain_properties():
     a = random_chain(4, seed=5)
     b = random_chain(4, seed=5)
-    for x, y in zip(a.ops, b.ops):
-        np.testing.assert_array_equal(x.entries, y.entries)
-    for op in a.ops:
-        assert abs(op.det) >= 0.1
+    np.testing.assert_array_equal(a.ops, b.ops)
+    assert np.all(np.abs(a.dets) >= 0.1)
     unit = random_chain(6, seed=5, unit_det=True)
     assert abs(det_product(unit)) == pytest.approx(1.0, abs=1e-12)
 
@@ -219,8 +279,8 @@ def test_ops_json_roundtrip():
     ch = random_chain(3, seed=9)
     doc = ops_json_dict(ch)
     back = ops_from_json_dict(doc)
-    for a, b in zip(ch.ops, back.ops):
-        np.testing.assert_array_equal(a.entries, b.entries)
+    np.testing.assert_array_equal(ch.ops, back.ops)
+    assert ops_json_dict(back) == doc
 
 
 def _symbolic_chain(sympy, b, ops, n):

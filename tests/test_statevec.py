@@ -24,6 +24,8 @@ from sloccinv import (
     to_json_dict,
     w_state,
 )
+from sloccinv.errors import NormOverflow
+from sloccinv.slocc import apply_chain, chain_of
 
 SQ2 = math.sqrt(0.5)
 
@@ -89,6 +91,24 @@ def test_normalize_scalar():
     np.testing.assert_array_equal(s.amplitudes, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("peak", [1e300, 1e200, 1e-170, 1e-300, 3 * 5e-324])
+def test_normalize_at_both_ends_of_the_float_range(peak):
+    # |s|^2 overflows above about 1e154 and underflows below about 1e-162
+    s = normalize(new_state(1, [peak, peak]))
+    np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2], rtol=1e-15)
+    assert s.normalized
+
+
+def test_normalize_bits_match_the_plain_division():
+    # the exact power-of-two scaling leaves in-range results bit for bit as s / |s|
+    for n in range(1, 11):
+        for scale in (1e-30, 0.3, 1.0, 7.0, 1e30):
+            s = new_state(n, random_state(n, n).amplitudes * scale)
+            out = normalize(s)
+            if out is not s:
+                assert out.amplitudes.tobytes() == (s.amplitudes / s.norm()).tobytes()
+
+
 def test_ghz_amplitudes():
     s = ghz(3)
     assert s.amplitudes[0] == pytest.approx(SQ2)
@@ -150,6 +170,13 @@ def test_tensor_zero_prefix_places_lower_half():
     out = tensor(zero, s)
     np.testing.assert_array_equal(out.amplitudes[:8], s.amplitudes)
     np.testing.assert_array_equal(out.amplitudes[8:], np.zeros(8))
+
+
+def test_tensor_beyond_the_float_range_warns_nothing():
+    # pytest turns RuntimeWarning into an error, so an overflow warning would fail here
+    big = tensor(new_state(1, [1e200, 1e200j]), new_state(1, [1e200, 1e200]))
+    assert not np.all(np.isfinite(big.amplitudes))
+    assert not np.any(tensor(new_state(1, [1e-200, 0]), new_state(1, [1e-200, 0])).amplitudes)
 
 
 def test_tensor_ghz3_ghz3():
@@ -287,6 +314,18 @@ def test_save_state_writes_one_shot_json(tmp_path):
               new_state(2, [-0.0, -1j, 1e-300, 0.1 + 0.2j])):
         save_state(s, path)
         assert path.read_bytes() == (json.dumps(to_json_dict(s)) + "\n").encode()
+
+
+def test_save_state_refuses_states_load_state_rejects(tmp_path):
+    path = tmp_path / "s.json"
+    huge, tiny = new_state(1, [1e200, 0]), new_state(1, [1e-200, 0])
+    zero_op = apply_chain(chain_of(np.zeros((1, 2, 2))), ghz(1))
+    cases = ((tensor(huge, huge), NormOverflow), (new_state(1, [math.nan, 1]), NormOverflow),
+             (tensor(tiny, tiny), AllZero), (zero_op, AllZero))
+    for s, error in cases:
+        with pytest.raises(error):
+            save_state(s, path)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("entries", [
