@@ -45,39 +45,22 @@ def _load(path: str, max_n: int) -> statevec.StateVector:
     return s
 
 
+def _make_product(args):
+    s1, s2 = (_load(path, args.max_n) for path in args.inputs)
+    _check_n(s1.n + s2.n, args.max_n)
+    s = statevec.tensor(s1, s2)
+    return s, f"product_n{s.n}.json"
+
+
+def _make_complement(args):
+    s = statevec.complement(_load(args.input, args.max_n))
+    return s, f"complement_n{s.n}.json"
+
+
 def cmd_make(args) -> int:
-    kind = args.kind
-    if kind in ("ghz", "w", "random"):
-        if args.n is None:
-            raise BadArgs(f"make {kind} requires --n")
+    if "n" in args:  # ghz, w and random: check the cap before allocating 2**n
         _check_n(args.n, args.max_n)
-    if kind == "ghz":
-        s = statevec.ghz(args.n)
-        default = f"ghz{args.n}.json"
-    elif kind == "w":
-        s = statevec.w_state(args.n)
-        default = f"w{args.n}.json"
-    elif kind == "cluster-c":
-        s = statevec.cluster_c()
-        default = "cluster_c.json"
-    elif kind == "random":
-        s = statevec.random_state(args.n, args.seed)
-        default = f"random_n{args.n}_s{args.seed}.json"
-    elif kind == "product":
-        if len(args.inputs) != 2:
-            raise BadArgs("make product requires exactly two input state files")
-        s1 = _load(args.inputs[0], args.max_n)
-        s2 = _load(args.inputs[1], args.max_n)
-        _check_n(s1.n + s2.n, args.max_n)
-        s = statevec.tensor(s1, s2)
-        default = f"product_n{s.n}.json"
-    elif kind == "complement":
-        if len(args.inputs) != 1:
-            raise BadArgs("make complement requires exactly one input state file")
-        s = statevec.complement(_load(args.inputs[0], args.max_n))
-        default = f"complement_n{s.n}.json"
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadArgs(f"unknown kind {kind}")
+    s, default = args.build(args)
     path = args.output or default
     statevec.save_state(s, path)
     print(f"n={s.n} norm={s.norm():.17g} -> {path}")
@@ -208,13 +191,23 @@ def build_parser() -> argparse.ArgumentParser:
                                  "entanglement for n-qubit states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_make = sub.add_parser("make", parents=[max_n, seed], help="write a state file")
-    p_make.add_argument("kind", choices=["ghz", "w", "cluster-c", "random",
-                                         "product", "complement"])
-    p_make.add_argument("inputs", nargs="*", help="input state files (product/complement)")
-    p_make.add_argument("--n", type=int, default=None)
-    p_make.add_argument("-o", "--output", default=None)
-    p_make.set_defaults(func=cmd_make)
+    p_make = sub.add_parser("make", help="write a state file")
+    kinds = p_make.add_subparsers(dest="kind", required=True)
+    n = _Parser(add_help=False)
+    n.add_argument("--n", type=int, required=True)
+    for kind, parents, build in (
+            ("ghz", [n], lambda a: (statevec.ghz(a.n), f"ghz{a.n}.json")),
+            ("w", [n], lambda a: (statevec.w_state(a.n), f"w{a.n}.json")),
+            ("cluster-c", [], lambda a: (statevec.cluster_c(), "cluster_c.json")),
+            ("random", [n, seed], lambda a: (statevec.random_state(a.n, a.seed),
+                                             f"random_n{a.n}_s{a.seed}.json")),
+            ("product", [], _make_product),
+            ("complement", [], _make_complement)):
+        p_kind = kinds.add_parser(kind, parents=[max_n, *parents])
+        p_kind.add_argument("-o", "--output", default=None)
+        p_kind.set_defaults(func=cmd_make, build=build)
+    kinds.choices["product"].add_argument("inputs", nargs=2, help="two input state files")
+    kinds.choices["complement"].add_argument("input", help="input state file")
 
     p_inv = sub.add_parser("invariant", parents=[max_n, tol],
                            help="invariant/criteria report for a state file")

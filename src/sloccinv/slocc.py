@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import LengthMismatch, ParityError, ParseError
+from .errors import LengthMismatch, NormOverflow, ParityError, ParseError
 from .invariant import iv_star, odd_invariant
 from .statevec import StateVector, _complex_pairs, _random_amplitudes, _wrap
 
@@ -61,6 +61,8 @@ def chain_of(matrices) -> LocalOperatorChain:
         raise LengthMismatch("a chain needs (k, 2, 2) operators, got a ragged nesting") from None
     if ops.shape[1:] != (2, 2):
         raise LengthMismatch(f"a chain needs (k, 2, 2) operators, got shape {ops.shape}")
+    if not np.all(np.isfinite(ops)):
+        raise NormOverflow("operator entries must be finite (no NaN/Inf)")
     ops.setflags(write=False)
     return LocalOperatorChain(ops=ops)
 

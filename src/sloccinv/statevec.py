@@ -19,20 +19,18 @@ import numpy as np
 
 from .errors import AllZero, LengthMismatch, NormOverflow, ParseError, TooFewQubits
 
-NORM_TOL = 1e-12      # |<s|s> - 1| below this marks the state normalized
 _RESCALE_TOL = 1e-15  # normalize() returns its input unchanged this close to 1
 
 _CLUSTER_SUPPORT = (3, 5, 6, 9, 10, 12)
 _DRAW_SLAB = 1 << 16  # floats per rng.random call of _random_amplitudes (512 KiB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Immutable n-qubit amplitude vector (length 2**n, complex128)."""
 
     n: int
     amplitudes: np.ndarray
-    normalized: bool
 
     def norm_squared(self) -> float:
         return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
@@ -45,17 +43,23 @@ def _wrap(n: int, amplitudes: np.ndarray) -> StateVector:
     """Wrap a trusted, correctly sized array without copying."""
     amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     amps.setflags(write=False)
-    norm_sq = float(np.real(np.vdot(amps, amps)))
-    return StateVector(n=n, amplitudes=amps, normalized=abs(norm_sq - 1.0) <= NORM_TOL)
+    return StateVector(n=n, amplitudes=amps)
+
+
+def _is_2_pow(count: int, n: int) -> bool:
+    """count == 2**n, without building 2**n for a huge declared n."""
+    return count.bit_length() == n + 1 and count == 1 << n
 
 
 def new_state(n: int, amplitudes) -> StateVector:
-    """Build a state from raw amplitudes; the normalized flag is measured, not forced."""
+    """Build a state from raw amplitudes; NaN/Inf raise NormOverflow."""
     if n < 1:
         raise TooFewQubits(f"need n >= 1, got {n}")
     amps = np.array(amplitudes, dtype=np.complex128)
-    if amps.ndim != 1 or amps.size != 1 << n:
-        raise LengthMismatch(f"expected {1 << n} amplitudes for n={n}, got {amps.size}")
+    if amps.ndim != 1 or not _is_2_pow(amps.size, n):
+        raise LengthMismatch(f"expected 2**{n} amplitudes for n={n}, got {amps.size}")
+    if not np.all(np.isfinite(amps)):
+        raise NormOverflow("amplitudes must be finite (no NaN/Inf)")
     if not np.any(amps):
         raise AllZero("state vector has no nonzero amplitude")
     return _wrap(n, amps)
@@ -180,8 +184,8 @@ def from_json_dict(doc) -> StateVector:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     entries = doc["amplitudes"]
-    if not isinstance(entries, list) or len(entries) != 1 << n:
-        raise ParseError(f"expected {1 << n} amplitude entries for n={n}")
+    if not isinstance(entries, list) or not _is_2_pow(len(entries), n):
+        raise ParseError(f"expected 2**{n} amplitude entries for n={n}")
     amps = _complex_pairs(entries, "amplitude")
     if not np.any(amps):
         raise AllZero("state vector has no nonzero amplitude")

@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sloccinv import complement, load_state, random_state, save_state
-from sloccinv.cli import main
+from sloccinv.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -44,6 +47,10 @@ def test_make_product(tmp_path, capsys):
     s = load_state(out_file)
     assert s.n == 4
     assert s.amplitudes[0] == pytest.approx(0.5)
+    # the input files may follow an option
+    again = tmp_path / "again.json"
+    assert run(capsys, "make", "product", "-o", str(again), str(g2), str(g2))[0] == 0
+    assert again.read_bytes() == out_file.read_bytes()
 
 
 def test_make_complement(tmp_path, capsys):
@@ -53,6 +60,9 @@ def test_make_complement(tmp_path, capsys):
     assert run(capsys, "make", "complement", str(src), "-o", str(dst))[0] == 0
     np.testing.assert_array_equal(
         load_state(dst).amplitudes, complement(load_state(src)).amplitudes)
+    again = tmp_path / "again.json"
+    assert run(capsys, "make", "complement", "--max-n", "9", str(src), "-o", str(again))[0] == 0
+    assert again.read_bytes() == dst.read_bytes()
 
 
 def test_make_rejects_oversized_n(tmp_path, capsys):
@@ -333,6 +343,21 @@ def test_cli_writes_no_state_file_it_could_not_read(tmp_path, capsys):
     ["compare", "a.json", "b.json", "--seed=1"],
     ["apply", "--input", "a.json", "--ops", "o.json", "--output", "b.json", "--seed=1"],
     ["signs", "--n", "4", "--seed=1"],
+    # each make kind takes only what it reads
+    ["make", "cluster-c", "--n", "4"],
+    ["make", "product", "a.json", "b.json", "--n", "4"],
+    ["make", "complement", "a.json", "--n", "4"],
+    ["make", "ghz", "--n", "3", "--seed", "7"],
+    ["make", "w", "--n", "3", "--seed", "7"],
+    ["make", "cluster-c", "--seed", "7"],
+    ["make", "product", "a.json", "b.json", "--seed", "7"],
+    ["make", "complement", "a.json", "--seed", "7"],
+    ["make", "ghz", "a.json", "--n", "3"],
+    ["make", "w", "a.json", "--n", "3"],
+    ["make", "cluster-c", "a.json"],
+    ["make", "random", "a.json", "--n", "3"],
+    ["make", "product", "a.json", "b.json", "c.json"],
+    ["make", "complement", "a.json", "b.json"],
 ])
 def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -354,3 +379,45 @@ def test_every_command_takes_max_n(tmp_path, capsys, monkeypatch):
                  ["signs", "--n", "3"]):
         assert run(capsys, *argv, "--max-n", "3")[0] == 0, argv
         assert_one_error_line(*run(capsys, *argv, "--max-n", "2"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["make", "-o", "x.json", "ghz", "--n", "3"],
+    ["make", "--max-n", "9", "ghz", "--n", "3"],
+    ["make", "--output=x.json", "cluster-c"],
+    ["make", "ghz"],
+    ["make", "random"],
+    ["make", "product", "a.json"],
+    ["make", "complement"],
+    ["make", "bell"],
+    ["make"],
+])
+def test_make_usage_errors_exit_one(tmp_path, capsys, monkeypatch, argv):
+    # options go after the kind word; before it they are not make's
+    monkeypatch.chdir(tmp_path)
+    assert_one_error_line(*run(capsys, *argv))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [20_000, 1 << 40])
+def test_huge_declared_n_exits_one(tmp_path, capsys, n):
+    # 1 << n is never built: at n = 2**40 it would be a 128 GiB integer
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"n": n, "amplitudes": []}))
+    assert_one_error_line(*run(capsys, "compare", str(f), str(f)))
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (re.sub(r"\[[^\]]*\]", "", line.split("#", 1)[0]) for line in block.splitlines())
+    return [shlex.split(line) for line in lines if line.strip()]
+
+
+def test_readme_cli_block_parses():
+    lines = _readme_cli_lines()
+    parser = build_parser()
+    for argv in lines:
+        assert argv[0] == "sloccinv"
+        parser.parse_args(argv[1:])
+    assert ["sloccinv", "make", "product", "-o", "g4p.json", "g2.json", "g2.json"] in lines

@@ -27,6 +27,7 @@ from sloccinv import (
     w_state,
 )
 from sloccinv import slocc
+from sloccinv.errors import NormOverflow
 
 RNG = np.random.default_rng(314159)
 
@@ -47,6 +48,9 @@ def test_local_operator_validation():
         with pytest.raises(LengthMismatch) as exc:
             chain_of(bad)
         assert "\n" not in str(exc.value)
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(NormOverflow, match="finite"):
+            chain_of([[[bad, 0], [0, 1]]])
     ch = chain_of([[[1, 2], [3, 4]], [[1, 1], [1, 1]]])
     assert ch.dets.tolist() == [-2, 0]
     assert abs(ch.dets[0]) > slocc.INVERTIBLE_TOL

@@ -24,6 +24,7 @@ from sloccinv import (
     to_json_dict,
     w_state,
 )
+from sloccinv import statevec
 from sloccinv.errors import NormOverflow
 from sloccinv.slocc import apply_chain, chain_of
 
@@ -33,23 +34,40 @@ SQ2 = math.sqrt(0.5)
 def test_new_state_basis():
     s = new_state(1, [1, 0])
     assert s.n == 1
-    assert s.normalized
+    assert s.norm_squared() == 1.0
     np.testing.assert_array_equal(s.amplitudes, [1.0 + 0j, 0.0 + 0j])
 
 
 def test_new_state_unnormalized_flag():
     s = new_state(2, [1, 0, 0, 1])
-    assert not s.normalized
+    assert s.norm_squared() == 2.0
     assert s.norm() == pytest.approx(math.sqrt(2))
 
 
 def test_new_state_uniform_normalized():
-    assert new_state(2, [0.5, 0.5, 0.5, 0.5]).normalized
+    assert new_state(2, [0.5, 0.5, 0.5, 0.5]).norm_squared() == 1.0
 
 
 def test_new_state_length_mismatch():
     with pytest.raises(LengthMismatch):
         new_state(2, [1, 0, 0])
+    # a huge n is compared with the count without building 2**n
+    for n in (20_000, 1 << 40):
+        with pytest.raises(LengthMismatch, match=r"expected 2\*\*\d+ amplitudes"):
+            new_state(n, [1, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_new_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NormOverflow, match="finite") as exc:
+        new_state(2, [bad, 1, 0, 1])
+    assert "\n" not in str(exc.value)
+
+
+def test_states_compare_by_identity():
+    s = ghz(3)
+    assert s == s and s != ghz(3)
+    assert len({s, ghz(3), s}) == 2
 
 
 def test_new_state_all_zero():
@@ -78,7 +96,7 @@ def test_amplitudes_read_only():
 def test_normalize_bell():
     s = normalize(new_state(2, [1, 0, 0, 1]))
     np.testing.assert_allclose(s.amplitudes, [SQ2, 0, 0, SQ2])
-    assert s.normalized
+    assert abs(s.norm_squared() - 1.0) <= 1e-12
 
 
 def test_normalize_idempotent_identity():
@@ -96,7 +114,7 @@ def test_normalize_at_both_ends_of_the_float_range(peak):
     # |s|^2 overflows above about 1e154 and underflows below about 1e-162
     s = normalize(new_state(1, [peak, peak]))
     np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2], rtol=1e-15)
-    assert s.normalized
+    assert abs(s.norm_squared() - 1.0) <= 1e-12
 
 
 def test_normalize_bits_match_the_plain_division():
@@ -153,7 +171,7 @@ def test_cluster_c():
 def test_builder_norms():
     for s in (ghz(2), ghz(7), w_state(5), cluster_c()):
         assert abs(s.norm() - 1.0) <= 1e-12
-        assert s.normalized
+        assert abs(s.norm_squared() - 1.0) <= 1e-12
 
 
 def test_tensor_ghz2_ghz2():
@@ -306,6 +324,9 @@ def test_json_rejects_bad_entries():
         from_json_dict({"n": 0, "amplitudes": []})
     with pytest.raises(ParseError):
         from_json_dict({"amplitudes": [[1, 0], [0, 0]]})
+    for n in (20_000, 1 << 40):  # 2**n is never built
+        with pytest.raises(ParseError, match=r"expected 2\*\*\d+ amplitude entries"):
+            from_json_dict({"n": n, "amplitudes": []})
 
 
 def test_save_state_writes_one_shot_json(tmp_path):
@@ -320,7 +341,8 @@ def test_save_state_refuses_states_load_state_rejects(tmp_path):
     path = tmp_path / "s.json"
     huge, tiny = new_state(1, [1e200, 0]), new_state(1, [1e-200, 0])
     zero_op = apply_chain(chain_of(np.zeros((1, 2, 2))), ghz(1))
-    cases = ((tensor(huge, huge), NormOverflow), (new_state(1, [math.nan, 1]), NormOverflow),
+    nan = statevec._wrap(1, np.array([math.nan, 1]))
+    cases = ((tensor(huge, huge), NormOverflow), (nan, NormOverflow),
              (tensor(tiny, tiny), AllZero), (zero_op, AllZero))
     for s, error in cases:
         with pytest.raises(error):
