@@ -29,6 +29,7 @@ from .errors import (
     BadWitness,
     IndexOutOfRange,
     LengthMismatch,
+    NormOverflow,
     ParityError,
     ParseError,
     SizeMismatch,
@@ -88,7 +89,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZero", "BadArgs", "BadWitness", "CriteriaSignature",
     "DEFAULT_TOL", "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "IndexOutOfRange",
-    "InvariantReport", "LengthMismatch", "LocalOperatorChain",
+    "InvariantReport", "LengthMismatch", "LocalOperatorChain", "NormOverflow",
     "ORACLE_LABELS", "PROVABLY_INEQUIVALENT", "ParityError", "ParseError",
     "SizeMismatch", "SloccInvError", "StateVector", "TooFewQubits",
     "UNDETERMINED", "Verdict", "achieved_pair_sums", "apply_chain", "chain_of",

@@ -106,22 +106,3 @@ def compare(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL,
 def dual_equivalence(s: StateVector) -> tuple[StateVector, LocalOperatorChain]:
     """The bit-complement state together with its sigma_x witness chain."""
     return complement(s), sigma_x_chain(s.n)
-
-
-def verdict_json_dict(v: Verdict) -> dict:
-    def render(value):
-        if isinstance(value, complex):
-            return [value.real, value.imag]
-        return value
-
-    return {
-        "outcome": v.outcome,
-        "evidence": [
-            {"criterion": e.criterion,
-             "values": [render(e.values[0]), render(e.values[1])],
-             "vanishing": list(e.vanishing)}
-            for e in v.evidence
-        ],
-        "heuristic_flags": list(v.heuristic_flags),
-        "has_witness": v.witness is not None,
-    }

@@ -12,6 +12,9 @@ import argparse
 import json
 import math
 import sys
+import textwrap
+
+import numpy as np
 
 from . import classify, criteria, invariant, oracle, signtab, slocc, statevec
 from .errors import BadArgs, SloccInvError
@@ -67,11 +70,66 @@ def cmd_make(args) -> int:
     return 0
 
 
+_ROWS = "@rows@"  # a document's one long list, until _dumps spells it out row by row
+_F_ROW = {"subscripts": ["%s"] * 8, "value": ["%s"] * 2, "vanishing": "%s"}
+
+
+def _pair(value):
+    """A complex value as its JSON [re, im] pair; any other value as it is."""
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
+def _dumps(doc: dict, row=None, columns=None) -> str:
+    """json.dumps(doc, indent=2), with the _ROWS value in doc spelled out as a list.
+
+    Each list entry is `row`, a JSON template with "%s" leaves, filled from
+    one line of the columns that columns() returns.  columns() runs only
+    after doc is encoded, so the column lists are freed before the final
+    string is built.
+    """
+    text = json.dumps(doc, indent=2)
+    at = text.find(json.dumps(_ROWS))
+    if at < 0:
+        return text
+    line = text[text.rfind("\n", 0, at) + 1:at]
+    indent = " " * (len(line) - len(line.lstrip(" ")))
+    entry = textwrap.indent(json.dumps(row, indent=2).replace('"%s"', "%s"), indent + "  ")
+    body = ",\n".join(map(entry.__mod__, zip(*columns())))
+    return f"{text[:at]}[\n{body}\n{indent}]{text[at + len(_ROWS) + 2:]}"
+
+
+def _f_columns(sig: criteria.CriteriaSignature) -> list[list]:
+    """sig's F entries as the columns of _F_ROW; "%s" spells a finite float as json does."""
+    values = [x.tolist() if np.isfinite(x).all() else list(map(json.dumps, x.tolist()))
+              for x in (sig.f.re, sig.f.im)]
+    return [*sig.f_tuples.T.tolist(), *values,
+            np.where(sig.f.vanishing, "true", "false").tolist()]
+
+
+def _signature_doc(sig: criteria.CriteriaSignature) -> dict:
+    """The signature with its F entries as the _ROWS slot."""
+    d_pairs = np.stack([sig.d.re, sig.d.im], axis=-1).tolist()
+    d_entries = [
+        {"i": i, "d1": pairs[0], "d2": pairs[1], "d3": pairs[2], "vanishing": flags}
+        for i, (pairs, flags) in enumerate(zip(d_pairs, sig.d.vanishing.tolist()))
+    ]
+    return {
+        "n": sig.n,
+        "tol": sig.tol,
+        "d_criteria": d_entries,
+        "f_criteria": _ROWS if sig.f_included else None,
+        "f_included": sig.f_included,
+        "note": ("F tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
+                 "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] are excluded."),
+    }
+
+
 def cmd_invariant(args) -> int:
     s = _load(args.input, args.max_n)
     report = invariant.invariant_report(s, args.tol)
+    fields = {name: _pair(value) for name, value in vars(report).items()}  # in field order
     doc = {
-        "invariants": invariant.report_json_dict(report),
+        "invariants": {**fields, "vanishing": dict(report.vanishing)},
         "criteria": None,
         "tau": report.tau,
         "vanishing": dict(report.vanishing),
@@ -79,19 +137,28 @@ def cmd_invariant(args) -> int:
     sig = None
     if 3 <= s.n <= criteria._F_SIGNATURE_MAX_N:
         sig = criteria.criteria_signature(s, args.tol)
-        doc["criteria"] = criteria.signature_json_dict(sig)
+        doc["criteria"] = _signature_doc(sig)
     else:
         doc["criteria_note"] = (f"criteria are included for 3 <= n <= "
                                 f"{criteria._F_SIGNATURE_MAX_N}; use the criteria command")
     if args.oracle:
-        values = {label: oracle.evaluate(label, s) for label in oracle.labels_for(s.n)}
+        values = {label: _pair(oracle.evaluate(label, s)) for label in oracle.labels_for(s.n)}
         if values:
-            doc["oracle"] = {label: [v.real, v.imag] for label, v in values.items()}
-    print(criteria.dumps_report(doc, sig))
+            doc["oracle"] = values
+    print(_dumps(doc, _F_ROW, lambda: _f_columns(sig)))
     return 0
 
 
 def cmd_criteria(args) -> int:
+    if args.action == "enumerate":
+        given = {"--input": args.input is not None, "--set": args.set != "all",
+                 "--tol": args.tol != invariant.DEFAULT_TOL}
+        reads = "criteria enumerate reads only --n, --force-f and --max-n"
+    else:
+        given, reads = {"--n": args.n is not None}, "only criteria enumerate reads --n"
+    unread = " ".join(flag for flag, on in given.items() if on)
+    if unread:
+        raise BadArgs(f"unrecognized arguments: {unread} ({reads})")
     if args.action == "enumerate":
         if args.n is None:
             raise BadArgs("criteria enumerate requires --n")
@@ -104,12 +171,12 @@ def cmd_criteria(args) -> int:
             "n": args.n,
             "count": len(tuples),
             "sums": criteria.achieved_pair_sums(args.n),
-            "tuples": tuples.tolist(),
+            "tuples": _ROWS,
             "note": ("tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
                      "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] "
                      "are excluded"),
         }
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc, ["%s"] * 8, tuples.T.tolist))
         return 0
     if args.input is None:
         raise BadArgs("criteria requires --input (or the enumerate action)")
@@ -119,10 +186,10 @@ def cmd_criteria(args) -> int:
         raise BadArgs(f"F evaluation at n={s.n} is combinatorially large; "
                       "pass --force-f to insist")
     sig = criteria.criteria_signature(s, args.tol, include_f=include_f)
-    doc = criteria.signature_json_dict(sig)
+    doc = _signature_doc(sig)
     if args.set == "f":
         doc["d_criteria"] = []
-    print(criteria.dumps_report(doc, sig))
+    print(_dumps(doc, _F_ROW, lambda: _f_columns(sig)))
     return 0
 
 
@@ -130,7 +197,13 @@ def cmd_compare(args) -> int:
     s1 = _load(args.state_a, args.max_n)
     s2 = _load(args.state_b, args.max_n)
     verdict = classify.compare(s1, s2, args.tol)
-    print(json.dumps(classify.verdict_json_dict(verdict), indent=2))
+    print(_dumps({
+        "outcome": verdict.outcome,
+        "evidence": [{"criterion": e.criterion, "values": list(map(_pair, e.values)),
+                      "vanishing": list(e.vanishing)} for e in verdict.evidence],
+        "heuristic_flags": list(verdict.heuristic_flags),
+        "has_witness": verdict.witness is not None,
+    }))
     return 2 if verdict.outcome == classify.PROVABLY_INEQUIVALENT else 0
 
 

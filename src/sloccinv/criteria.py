@@ -31,8 +31,6 @@ np.hypot, which equals abs() of the complex value.
 
 from __future__ import annotations
 
-import json
-import textwrap
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -40,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IndexOutOfRange, TooFewQubits
+from .errors import IndexOutOfRange, NormOverflow, TooFewQubits
 from .invariant import DEFAULT_TOL, vanishing_threshold
-from .statevec import StateVector
+from .statevec import StateVector, _scaled
 
 
 # Complex arithmetic on (re, im) pairs of float64 arrays, rounded op for
@@ -181,12 +179,19 @@ class CriterionValues(NamedTuple):
     re: np.ndarray
     im: np.ndarray
     magnitude: np.ndarray  # np.hypot(re, im), equal to abs() of the complex value
-    vanishing: np.ndarray  # magnitude <= the degree-4 threshold
+    vanishing: np.ndarray  # decided on the scaled values against the degree-4 threshold
 
 
-def _criterion_values(re: np.ndarray, im: np.ndarray, threshold: float) -> CriterionValues:
+def _criterion_values(re: np.ndarray, im: np.ndarray, threshold: float,
+                      e: int) -> CriterionValues:
+    """Vanishing decided on the scaled values, which are reported times 2**e."""
     magnitude = np.hypot(re, im)
-    return CriterionValues(re, im, magnitude, magnitude <= threshold)
+    with np.errstate(over="ignore"):
+        raw = [np.ldexp(x, e) for x in (re, im, magnitude)]
+    if not np.isfinite(raw[2]).all():  # ldexp is monotone: covers re and im
+        raise NormOverflow(f"raw value |v| = {magnitude.max():.6g} * 2**{e} is too large "
+                           "for a float")
+    return CriterionValues(*raw, magnitude <= threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,20 +214,22 @@ class CriteriaSignature:
 def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
                        include_f: bool | None = None) -> CriteriaSignature:
     """Evaluate every criterion; D/F values are degree-4, so the vanishing
-    threshold scales with the squared norm.
+    threshold scales with the squared norm.  Values are computed and decided
+    on the exactly scaled 2**-k * s and reported raw, times 2**(4k).
 
     include_f defaults to n <= 6 (the F family grows combinatorially).
     """
-    threshold = vanishing_threshold(s.norm_squared(), tol, 4)
+    scaled, k = _scaled(s)
+    threshold = vanishing_threshold(scaled.norm_squared(), tol, 4)
     if s.n >= 4:
-        d = _criterion_values(*_d_values(s.amplitudes, s.n), threshold)
+        d = _criterion_values(*_d_values(scaled.amplitudes, s.n), threshold, 4 * k)
     else:
-        d = _criterion_values(np.empty((0, 3)), np.empty((0, 3)), threshold)
+        d = _criterion_values(np.empty((0, 3)), np.empty((0, 3)), threshold, 4 * k)
     if include_f is None:
         include_f = s.n <= _F_SIGNATURE_MAX_N
     f_included = bool(include_f and s.n >= 3)
     tuples = f_enumerate(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
-    f = _criterion_values(*_f_values(s.amplitudes, tuples), threshold)
+    f = _criterion_values(*_f_values(scaled.amplitudes, tuples), threshold, 4 * k)
     return CriteriaSignature(n=s.n, tol=tol, d=d, f_tuples=tuples, f=f,
                              f_included=f_included)
 
@@ -231,58 +238,3 @@ def achieved_pair_sums(n: int) -> list[int]:
     """Sorted set of sums i+j realized by at least one admissible tuple."""
     t = f_enumerate(n)
     return np.unique(t[:, 0] + t[:, 1]).tolist()
-
-
-_F_SLOT = "@f_criteria@"  # stands for the F entries until dumps_report renders them
-
-
-def signature_json_dict(sig: CriteriaSignature) -> dict:
-    """The signature as a JSON document with complex values as [re, im] pairs.
-
-    The F entry list stands as a placeholder that dumps_report renders
-    from the arrays; print the document through dumps_report.
-    """
-    d_pairs = np.stack([sig.d.re, sig.d.im], axis=-1).tolist()
-    d_entries = [
-        {"i": i, "d1": pairs[0], "d2": pairs[1], "d3": pairs[2], "vanishing": flags}
-        for i, (pairs, flags) in enumerate(zip(d_pairs, sig.d.vanishing.tolist()))
-    ]
-    return {
-        "n": sig.n,
-        "tol": sig.tol,
-        "d_criteria": d_entries,
-        "f_criteria": _F_SLOT if sig.f_included else None,
-        "f_included": sig.f_included,
-        "note": ("F tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
-                 "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] are excluded."),
-    }
-
-
-def _json_floats(x: np.ndarray) -> list[str]:
-    """Each entry as json.dumps spells it (repr, or NaN and Infinity)."""
-    spell = repr if np.isfinite(x).all() else json.dumps
-    return list(map(spell, x.tolist()))
-
-
-def _f_block(sig: CriteriaSignature, indent: int) -> str:
-    """The F entry list as json.dumps(indent=2) prints it under a key `indent` spaces in."""
-    entry = json.dumps({"subscripts": ["%s"] * 8, "value": ["%s"] * 2, "vanishing": "%s"},
-                       indent=2)
-    entry = textwrap.indent(entry.replace('"%s"', "%s"), " " * (indent + 2))
-    numerals = np.array([str(v) for v in range(1 << sig.n)], dtype=object)
-    columns = [*numerals[sig.f_tuples.T].tolist(), _json_floats(sig.f.re),
-               _json_floats(sig.f.im), np.where(sig.f.vanishing, "true", "false").tolist()]
-    body = ",\n".join(map(entry.__mod__, zip(*columns)))
-    return "[\n" + body + "\n" + " " * indent + "]"
-
-
-def dumps_report(doc: dict, sig: CriteriaSignature | None = None) -> str:
-    """json.dumps(doc, indent=2) with the F slot of signature_json_dict filled from sig."""
-    text = json.dumps(doc, indent=2)
-    slot = json.dumps(_F_SLOT)
-    at = text.find(slot)
-    if at < 0:
-        return text
-    line = text.rfind("\n", 0, at) + 1
-    indent = len(text[line:at]) - len(text[line:at].lstrip(" "))
-    return text[:at] + _f_block(sig, indent) + text[at + len(slot):]

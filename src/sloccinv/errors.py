@@ -42,4 +42,9 @@ class BadWitness(SloccInvError, ValueError):
 
 
 class NormOverflow(SloccInvError, OverflowError):
-    """A state's squared norm is too large for a finite vanishing threshold."""
+    """A value outside the float range.
+
+    Raised for NaN/Inf amplitudes or operator entries, for a raw invariant
+    or criterion value too large to report, and for a vanishing threshold
+    that is not a finite float.
+    """

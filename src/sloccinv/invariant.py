@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NormOverflow, ParityError, TooFewQubits
 from .signtab import sign_table
-from .statevec import StateVector
+from .statevec import StateVector, _scaled
 
 DEFAULT_TOL = 1e-10   # vanishing threshold, scaled by the norm (see `vanishing`)
 
@@ -226,19 +226,39 @@ class InvariantReport:
     vanishing: Mapping[str, bool]
 
 
+def _unscaled(x, e: int):
+    """x * 2**e for a float or complex x, exact unless a part underflows.
+
+    Raises NormOverflow when a part leaves the float range.
+    """
+    try:
+        if isinstance(x, complex):
+            return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise NormOverflow(f"raw value |v| = {abs(x):.6g} * 2**{e} is too large "
+                           "for a float") from None
+
+
 def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantReport:
+    """Values of s and their vanishing flags, decided on the exactly scaled
+    2**-k * s of statevec._scaled: a degree-d value v is reported as the raw
+    v * 2**(k*d), so the flags of s and 2**j * s are bit-identical.
+    """
     if s.n < 2:
         raise TooFewQubits(f"invariant_report needs n >= 2, got {s.n}")
-    nsq = s.norm_squared()
+    scaled, k = _scaled(s)
+    nsq = scaled.norm_squared()
     threshold = vanishing_threshold(nsq, tol)
     if s.n % 2 == 0:
-        star = iv_star(s)
+        star = iv_star(scaled)
         flags = {"iv_star": abs(star) <= threshold, "tau": abs(star) <= threshold}
-        return InvariantReport(n=s.n, parity="even", tau=2.0 * abs(star),
-                               iv_star=star, iv_bar=None, iv_star_shifted=None,
-                               odd_invariant=None, vanishing=MappingProxyType(flags))
+        return InvariantReport(n=s.n, parity="even", tau=_unscaled(2.0 * abs(star), 2 * k),
+                               iv_star=_unscaled(star, 2 * k), iv_bar=None,
+                               iv_star_shifted=None, odd_invariant=None,
+                               vanishing=MappingProxyType(flags))
     threshold4 = vanishing_threshold(nsq, tol, 4)
-    bar, low, high, combo = _odd_parts(s)
+    bar, low, high, combo = _odd_parts(scaled)
     flags = {
         "iv_star": abs(low) <= threshold,
         "iv_bar": abs(bar) <= threshold,
@@ -246,24 +266,8 @@ def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantRepor
         "odd_invariant": abs(combo) <= threshold4,
         "tau": abs(combo) <= threshold4,
     }
-    return InvariantReport(n=s.n, parity="odd", tau=4.0 * abs(combo),
-                           iv_star=low, iv_bar=bar, iv_star_shifted=high,
-                           odd_invariant=combo, vanishing=MappingProxyType(flags))
-
-
-def _complex_pair(z: complex | None):
-    return None if z is None else [z.real, z.imag]
-
-
-def report_json_dict(report: InvariantReport) -> dict:
-    """JSON-friendly rendering with complex values as [re, im] pairs."""
-    return {
-        "n": report.n,
-        "parity": report.parity,
-        "tau": report.tau,
-        "iv_star": _complex_pair(report.iv_star),
-        "iv_bar": _complex_pair(report.iv_bar),
-        "iv_star_shifted": _complex_pair(report.iv_star_shifted),
-        "odd_invariant": _complex_pair(report.odd_invariant),
-        "vanishing": dict(report.vanishing),
-    }
+    return InvariantReport(n=s.n, parity="odd", tau=_unscaled(4.0 * abs(combo), 4 * k),
+                           iv_star=_unscaled(low, 2 * k), iv_bar=_unscaled(bar, 2 * k),
+                           iv_star_shifted=_unscaled(high, 2 * k),
+                           odd_invariant=_unscaled(combo, 4 * k),
+                           vanishing=MappingProxyType(flags))

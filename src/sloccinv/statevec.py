@@ -65,17 +65,26 @@ def new_state(n: int, amplitudes) -> StateVector:
     return _wrap(n, amps)
 
 
+def _scaled(s: StateVector) -> tuple[StateVector, int]:
+    """(2**-k * s, k) with k = frexp(max|a|)[1], so max|a| of the result is in [1/2, 1).
+
+    The scaling is exact: a degree-d value of the result is exactly
+    2**(-k*d) times that of s unless it underflows, and the result's norm
+    neither overflows nor underflows.
+    """
+    k = math.frexp(float(np.max(np.abs(s.amplitudes))))[1]
+    return _wrap(s.n, np.ldexp(s.amplitudes.view(np.float64), -k).view(np.complex128)), k
+
+
 def normalize(s: StateVector) -> StateVector:
     """Rescale to unit norm. A no-op (same object) when already within 1e-15 of 1."""
-    peak = float(np.max(np.abs(s.amplitudes)))
-    if peak == 0.0:
+    scaled, k = _scaled(s)
+    nrm = scaled.norm()
+    if nrm == 0.0:
         raise AllZero("cannot normalize the zero vector")
-    k = math.frexp(peak)[1]  # the norm of the exact 2**-k * s neither overflows nor underflows
-    scaled = np.ldexp(s.amplitudes.view(np.float64), -k).view(np.complex128)
-    nrm = math.sqrt(float(np.real(np.vdot(scaled, scaled))))
     if abs(math.ldexp(nrm, k) - 1.0) <= _RESCALE_TOL:
         return s
-    return _wrap(s.n, scaled / nrm)
+    return _wrap(s.n, scaled.amplitudes / nrm)
 
 
 def ghz(n: int) -> StateVector:

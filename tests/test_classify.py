@@ -1,5 +1,7 @@
 """Comparison verdicts, soundness under construction, dual equivalence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from sloccinv import (
     EQUIVALENT_BY_CONSTRUCTION,
     PROVABLY_INEQUIVALENT,
     BadWitness,
+    NormOverflow,
     SizeMismatch,
     SloccInvError,
     UNDETERMINED,
@@ -20,9 +23,12 @@ from sloccinv import (
     det_product,
     dual_equivalence,
     ghz,
+    identity_chain,
+    invariant_report,
     new_state,
     random_chain,
     random_state,
+    save_state,
     tau,
     tensor,
     w_state,
@@ -74,6 +80,8 @@ def test_compare_symmetric_outcome():
 def test_compare_size_mismatch():
     with pytest.raises(SizeMismatch):
         compare(ghz(3), ghz(4))
+    with pytest.raises(SizeMismatch, match="2 operators for n=3"):
+        compare(ghz(3), ghz(3), witness=identity_chain(2))
 
 
 def test_soundness_under_construction_quick():
@@ -100,6 +108,63 @@ def test_rescaling_is_never_provably_inequivalent(n, kind, seed, exponent):
          "w": lambda: w_state(n)}[kind]()
     scaled = new_state(n, 10.0 ** exponent * s.amplitudes)
     assert compare(s, scaled).outcome != PROVABLY_INEQUIVALENT
+
+
+def _flags(s):
+    """Every vanishing decision compare and the reports make for s."""
+    sig = criteria_signature(s, include_f=True)
+    return dict(invariant_report(s).vanishing), sig.d.vanishing, sig.f.vanishing
+
+
+@pytest.mark.parametrize("n, c", [(3, 1e-100), (3, 1e-150), (3, 1e-160), (4, 1e-200)])
+def test_tiny_rescaled_ghz_is_undetermined(n, c):
+    # the raw invariants underflow to 0; the decision on the exactly scaled state does not
+    s = ghz(n)
+    assert compare(s, new_state(n, c * s.amplitudes)).outcome == UNDETERMINED
+
+
+def test_tiny_rescaled_cluster_keeps_its_criteria_masks():
+    s = cluster_c()
+    unit, tiny = criteria_signature(s), criteria_signature(new_state(4, 1e-100 * s.amplitudes))
+    assert (unit.d.vanishing.sum(), unit.f.vanishing.sum()) == (0, 37)
+    np.testing.assert_array_equal(tiny.d.vanishing, unit.d.vanishing)
+    np.testing.assert_array_equal(tiny.f.vanishing, unit.f.vanishing)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 6), kind=st.sampled_from(["random", "ghz", "w", "cluster"]),
+       seed=st.integers(0, 2**32 - 1), j=st.integers(-1000, 1000))
+def test_power_of_two_rescaling_keeps_every_flag(n, kind, seed, j):
+    # 2**j * s is exact, so each flag is bit-identical to that of s unless a
+    # raw value to report leaves the float range
+    s = {"random": lambda: random_state(n, seed), "ghz": lambda: ghz(n),
+         "w": lambda: w_state(n), "cluster": cluster_c}[kind]()
+    scaled = new_state(s.n, 2.0 ** j * s.amplitudes)
+    try:
+        flags = _flags(scaled)
+    except NormOverflow:
+        assert j > 200
+        return
+    want = _flags(s)
+    assert flags[0] == want[0]
+    for got, expected in zip(flags[1:], want[1:]):
+        np.testing.assert_array_equal(got, expected)
+    assert compare(s, scaled).outcome != PROVABLY_INEQUIVALENT
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 6), kind=st.sampled_from(["random", "ghz", "w"]),
+       seed=st.integers(0, 2**32 - 1), exponent=st.integers(-300, 300))
+def test_decimal_rescaling_is_never_provably_inequivalent(n, kind, seed, exponent):
+    s = {"random": lambda: random_state(n, seed), "ghz": lambda: ghz(n),
+         "w": lambda: w_state(n)}[kind]()
+    scaled = new_state(n, 10.0 ** exponent * s.amplitudes)
+    try:
+        outcome = compare(s, scaled).outcome
+    except NormOverflow:  # a degree-4 raw value beyond the float range
+        assert exponent > 60
+        return
+    assert outcome != PROVABLY_INEQUIVALENT
 
 
 def test_dual_equivalence_witness():
@@ -191,10 +256,13 @@ def test_heuristic_flags_match_object_loop():
     assert kinds == {"D", "F"}
 
 
-def test_verdict_json_shape():
-    from sloccinv.classify import verdict_json_dict
+def test_verdict_json_shape(tmp_path, capsys):
+    from sloccinv.cli import main
 
-    doc = verdict_json_dict(compare(ghz(3), w_state(3)))
+    for name, s in (("g3.json", ghz(3)), ("w3.json", w_state(3))):
+        save_state(s, tmp_path / name)
+    assert main(["compare", str(tmp_path / "g3.json"), str(tmp_path / "w3.json")]) == 2
+    doc = json.loads(capsys.readouterr().out)
     assert doc["outcome"] == PROVABLY_INEQUIVALENT
     assert doc["evidence"][0]["criterion"] == "tau"
     assert doc["has_witness"] is False

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sloccinv import complement, load_state, random_state, save_state
+from sloccinv import (achieved_pair_sums, complement, f_enumerate, load_state,
+                      random_state, save_state)
 from sloccinv.cli import build_parser, main
 
 
@@ -179,12 +180,71 @@ def test_criteria_enumerate(capsys):
     assert doc["tuples"] == [[0, 7, 1, 6, 2, 5, 3, 4]]
     assert doc["sums"] == [7]
     assert "excluded" in doc["note"]
+    # byte for byte the indented JSON of the list form
+    for n in range(3, 7):
+        code, out, _ = run(capsys, "criteria", "enumerate", "--n", str(n))
+        tuples = f_enumerate(n)
+        expected = {"n": n, "count": len(tuples), "sums": achieved_pair_sums(n),
+                    "tuples": tuples.tolist(), "note": doc["note"]}
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_criteria_enumerate_refuses_large_n(capsys):
     code, _, err = run(capsys, "criteria", "enumerate", "--n", "9")
     assert code == 1
     assert "force-f" in err
+
+
+def test_criteria_enumerate_accepts_explicit_defaults(capsys):
+    code, out, _ = run(capsys, "criteria", "enumerate", "--n", "3", "--set", "all",
+                       "--tol", "1e-10")
+    assert code == 0
+    assert out == run(capsys, "criteria", "enumerate", "--n", "3")[1]
+
+
+def test_n_below_the_command_floor_exits_one(capsys):
+    for argv, floor in ((["verify", "--theorem", "1", "--n", "1"], 2),
+                        (["criteria", "enumerate", "--n", "2"], 3)):
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert f"need n >= {floor}" in err
+
+
+def test_criteria_set_f_empties_the_d_list(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    run(capsys, "make", "cluster-c", "-o", str(f))
+    code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "f")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["d_criteria"] == []
+    assert doc["f_included"] is True and len(doc["f_criteria"]) == 78
+
+
+def test_criteria_needs_an_input(capsys):
+    code, out, err = run(capsys, "criteria")
+    assert_one_error_line(code, out, err)
+    assert "requires --input" in err
+
+
+def test_criteria_refuses_f_evaluation_at_n7_without_force_f(tmp_path, capsys):
+    f = tmp_path / "r7.json"
+    run(capsys, "make", "random", "--n", "7", "-o", str(f))
+    for argv in ([], ["--set", "f"]):
+        code, out, err = run(capsys, "criteria", "--input", str(f), *argv)
+        assert_one_error_line(code, out, err)
+        assert "force-f" in err
+    code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "d")
+    assert code == 0 and json.loads(out)["f_included"] is False
+
+
+def test_all_zero_state_file_exits_one(tmp_path, capsys):
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"n": 2, "amplitudes": [[0, 0], [0.0, -0.0], [0, 0], [0, 0]]}))
+    for argv in (["invariant", "--input", str(f)], ["compare", str(f), str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert "no nonzero amplitude" in err
 
 
 def test_criteria_evaluate_d_only(tmp_path, capsys):
@@ -308,6 +368,8 @@ def assert_one_error_line(code, out, err):
     '{"ops": [[[1e400, 0], [0, 0], [0, 0], [1, 0]]]}',
     '{"ops": [[[1%s, 0], [0, 0], [0, 0], [1, 0]]]}' % ("0" * 400),
     '{"ops": [[[NaN, 0], [0, 0], [0, 0], [1, 0]]]}',
+    # not an {"ops": [...]} object at all
+    '[]', '[{"ops": []}]', '{"ops": 3}', '{"operators": []}',
 ])
 def test_apply_rejects_ops_outside_the_pair_schema(tmp_path, capsys, ops):
     # operator entries are [re, im] number pairs, parsed as in state files
@@ -358,6 +420,15 @@ def test_cli_writes_no_state_file_it_could_not_read(tmp_path, capsys):
     ["make", "random", "a.json", "--n", "3"],
     ["make", "product", "a.json", "b.json", "c.json"],
     ["make", "complement", "a.json", "b.json"],
+    # criteria enumerate reads only --n, --force-f and --max-n; evaluation never reads --n
+    ["criteria", "enumerate", "--n", "3", "--input", "nonexist.json", "--set", "d", "--tol", "5"],
+    ["criteria", "enumerate", "--n", "3", "--input", "a.json"],
+    ["criteria", "enumerate", "--n", "3", "--set", "d"],
+    ["criteria", "enumerate", "--n", "3", "--tol", "5"],
+    ["criteria", "--input", "a.json", "enumerate", "--n", "3"],
+    ["criteria", "--set", "d", "enumerate", "--n", "3"],
+    ["criteria", "--n", "3", "--input", "g3.json", "--set", "d"],
+    ["criteria", "--n", "3"],
 ])
 def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -28,7 +28,14 @@ from sloccinv import (
     vanishing,
     w_state,
 )
-from sloccinv.criteria import CriterionValues, dumps_report, signature_json_dict
+from sloccinv.cli import _F_ROW, _dumps, _f_columns, _signature_doc
+from sloccinv.criteria import CriterionValues
+
+
+def render(doc, sig):
+    """doc printed as the CLI prints a document holding sig's F entries."""
+    return _dumps(doc, _F_ROW, lambda: _f_columns(sig))
+
 
 def lattice_state(n, seed):
     """Amplitudes from {0, +-1, +-1j, 1/2 - 1/2j}, whose exact products give signed zeros."""
@@ -168,10 +175,10 @@ def test_tuple_counts():
 def test_rendered_report_matches_dict_json(name):
     sig = criteria_signature(GOLDEN[name])
     expected = dict_signature(sig)
-    assert dumps_report(signature_json_dict(sig), sig) == json.dumps(expected, indent=2)
+    assert render(_signature_doc(sig), sig) == json.dumps(expected, indent=2)
     nested = {"invariants": {"n": sig.n}, "criteria": expected, "tau": 0.5}
-    slotted = dict(nested, criteria=signature_json_dict(sig))
-    assert dumps_report(slotted, sig) == json.dumps(nested, indent=2)
+    slotted = dict(nested, criteria=_signature_doc(sig))
+    assert render(slotted, sig) == json.dumps(nested, indent=2)
 
 
 def test_rendered_report_spells_non_finite_values_as_json():
@@ -182,11 +189,11 @@ def test_rendered_report_spells_non_finite_values_as_json():
     sig = replace(sig, f=CriterionValues(re, im, np.hypot(re, im), sig.f.vanishing))
     expected = json.dumps(dict_signature(sig), indent=2)
     assert "Infinity" in expected and "NaN" in expected
-    assert dumps_report(signature_json_dict(sig), sig) == expected
+    assert render(_signature_doc(sig), sig) == expected
 
 
 def test_report_without_f_entries_is_plain_json():
     sig = criteria_signature(random_state(7, 1))
-    doc = signature_json_dict(sig)
+    doc = _signature_doc(sig)
     assert doc["f_criteria"] is None
-    assert dumps_report(doc, sig) == json.dumps(dict_signature(sig), indent=2)
+    assert render(doc, sig) == json.dumps(dict_signature(sig), indent=2)

@@ -356,6 +356,38 @@ def test_vanishing_threshold_values_and_overflow():
         vanishing(0.0, 2e160, degree=4)
 
 
+def test_report_needs_two_qubits():
+    with pytest.raises(TooFewQubits, match="invariant_report needs n >= 2"):
+        invariant_report(new_state(1, [1, 0]))
+
+
+def test_norm_overflow_is_exported():
+    import sloccinv
+
+    assert "NormOverflow" in sloccinv.__all__
+    assert sloccinv.NormOverflow is NormOverflow
+
+
+@pytest.mark.parametrize("factor", [1e-100, 2.0 ** -1000, 1e70, 2.0 ** 250])
+def test_report_decides_on_the_scaled_state(factor):
+    # factor * s is SLOCC-equivalent to s: the same flags, even where raw values underflow
+    for s in (ghz(3), ghz(4), w_state(5), rand_state(5), rand_state(6)):
+        r = invariant_report(s)
+        scaled = invariant_report(new_state(s.n, factor * s.amplitudes))
+        assert dict(scaled.vanishing) == dict(r.vanishing)
+        if factor == 2.0 ** 250:  # exact, and every raw value stays in the float range
+            degree = 2 if s.n % 2 == 0 else 4
+            assert scaled.tau == math.ldexp(r.tau, 250 * degree)
+
+
+def test_report_refuses_raw_values_beyond_the_float_range():
+    # the decision is still made; only reporting the degree-4 value would overflow
+    with pytest.raises(NormOverflow, match="too large"):
+        invariant_report(new_state(3, 2.0 ** 260 * ghz(3).amplitudes))
+    big = invariant_report(new_state(4, 2.0 ** 260 * ghz(4).amplitudes))
+    assert big.tau == math.ldexp(invariant_report(ghz(4)).tau, 520)
+
+
 def test_report_even():
     r = invariant_report(ghz(4))
     assert r.parity == "even"

@@ -122,6 +122,9 @@ def test_range_errors():
         sign_star(2, 1)
     with pytest.raises(IndexOutOfRange):
         sign_star(5, 8)
+    for call in (lambda: sign_table(1), lambda: sign_star_table(1), lambda: sign_star(1, 0)):
+        with pytest.raises(IndexOutOfRange, match="needs n >= 2"):
+            call()
 
 
 def test_tables_are_read_only():

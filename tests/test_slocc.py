@@ -237,6 +237,14 @@ def test_verify_theorem2_spec_points():
     assert verify_theorem2(7, 50, 1) <= 1e-8
 
 
+def test_transform_error_near_zero_is_an_absolute_check():
+    # a reference below 1e-14 is not divided by: agreement within 1e-12 passes
+    assert slocc._transform_error(0.0, 5e-13) == 0.0
+    assert slocc._transform_error(1e-15 + 1e-15j, -5e-13) == 0.0
+    assert slocc._transform_error(0.0, 2e-12) == math.inf
+    assert slocc._transform_error(2.0, 2.5) == 0.25
+
+
 def test_verify_parity_errors():
     with pytest.raises(ParityError):
         verify_theorem1(5, 10, 1)

@@ -280,6 +280,11 @@ def test_random_state_norm_and_small_n():
         assert s.amplitudes.size == 1 << n
 
 
+def test_random_state_needs_positive_n():
+    with pytest.raises(TooFewQubits):
+        random_state(0, 1)
+
+
 def test_json_roundtrip_bitwise(tmp_path):
     s = random_state(5, 123)
     path = tmp_path / "s.json"
@@ -335,6 +340,38 @@ def test_save_state_writes_one_shot_json(tmp_path):
               new_state(2, [-0.0, -1j, 1e-300, 0.1 + 0.2j])):
         save_state(s, path)
         assert path.read_bytes() == (json.dumps(to_json_dict(s)) + "\n").encode()
+
+
+def test_save_state_joins_slabs_as_one_shot_json(tmp_path):
+    # n=15 is two slabs, so the file holds a slab separator
+    assert statevec._SAVE_SLAB < 1 << 15
+    s = random_state(15, 3)
+    path = tmp_path / "s.json"
+    save_state(s, path)
+    assert path.read_bytes() == (json.dumps(to_json_dict(s)) + "\n").encode()
+    loaded = load_state(path)
+    np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
+
+
+def test_all_zero_state_file_and_zero_vector(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [0.0, -0.0]]}))
+    with pytest.raises(AllZero):
+        load_state(path)
+    with pytest.raises(AllZero, match="normalize"):
+        normalize(statevec._wrap(2, np.zeros(4)))
+
+
+@pytest.mark.parametrize("amplitudes, k", [
+    ([SQ2, 0, 0, SQ2], 0), ([3, 0, 0, -1j], 2), ([0.5, 0.25j, 0, 0], 0),
+    ([1e-300, 0, 0, 2e-300j], -995), ([1e300, 0, 0, 0], 997)])
+def test_scaled_is_an_exact_power_of_two(amplitudes, k):
+    s = new_state(2, amplitudes)
+    scaled, got = statevec._scaled(s)
+    assert got == k
+    assert 0.5 <= np.max(np.abs(scaled.amplitudes)) < 1.0
+    np.testing.assert_array_equal(np.ldexp(scaled.amplitudes.view(np.float64), k),
+                                  s.amplitudes.view(np.float64))
 
 
 def test_save_state_refuses_states_load_state_rejects(tmp_path):
