@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionValues, criteria_signature
+from .criteria import criteria_signature
 from .errors import BadWitness, SizeMismatch
-from .invariant import DEFAULT_TOL, invariant_report
+from .invariant import DEFAULT_TOL, CriterionValues, invariant_report
 from .slocc import INVERTIBLE_TOL, LocalOperatorChain, apply_chain, sigma_x_chain
 from .statevec import StateVector, complement
 

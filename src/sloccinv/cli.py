@@ -100,9 +100,7 @@ def _dumps(doc: dict, row=None, columns=None) -> str:
 
 def _f_columns(sig: criteria.CriteriaSignature) -> list[list]:
     """sig's F entries as the columns of _F_ROW; "%s" spells a finite float as json does."""
-    values = [x.tolist() if np.isfinite(x).all() else list(map(json.dumps, x.tolist()))
-              for x in (sig.f.re, sig.f.im)]
-    return [*sig.f_tuples.T.tolist(), *values,
+    return [*sig.f_tuples.T.tolist(), sig.f.re.tolist(), sig.f.im.tolist(),
             np.where(sig.f.vanishing, "true", "false").tolist()]
 
 

@@ -25,8 +25,8 @@ arrays exactly as numpy's scalar complex arithmetic rounds it: products
 without fused multiply-add, `z ** 2` as z * z except that an exact zero
 squares to +0, and `4 * z` as a product with 4+0j.  Each value
 therefore equals the scalar formula of `f_evaluate` and the literal D
-transcription bit for bit, signed zeros included.  Vanishing tests use
-np.hypot, which equals abs() of the complex value.
+transcription bit for bit, signed zeros included.  Both families are
+decided and unscaled by `invariant._decide`, as the invariants are.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NormOverflow, TooFewQubits
-from .invariant import DEFAULT_TOL, vanishing_threshold
+from .errors import IndexOutOfRange, TooFewQubits
+from .invariant import DEFAULT_TOL, CriterionValues, _decide
 from .statevec import StateVector, _scaled
 
 
@@ -173,27 +172,6 @@ def _f_values(amplitudes: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, n
 _F_SIGNATURE_MAX_N = 6  # tuple counts explode past this; override explicitly
 
 
-class CriterionValues(NamedTuple):
-    """One criteria family's values as float64 arrays, with its vanishing pattern."""
-
-    re: np.ndarray
-    im: np.ndarray
-    magnitude: np.ndarray  # np.hypot(re, im), equal to abs() of the complex value
-    vanishing: np.ndarray  # decided on the scaled values against the degree-4 threshold
-
-
-def _criterion_values(re: np.ndarray, im: np.ndarray, threshold: float,
-                      e: int) -> CriterionValues:
-    """Vanishing decided on the scaled values, which are reported times 2**e."""
-    magnitude = np.hypot(re, im)
-    with np.errstate(over="ignore"):
-        raw = [np.ldexp(x, e) for x in (re, im, magnitude)]
-    if not np.isfinite(raw[2]).all():  # ldexp is monotone: covers re and im
-        raise NormOverflow(f"raw value |v| = {magnitude.max():.6g} * 2**{e} is too large "
-                           "for a float")
-    return CriterionValues(*raw, magnitude <= threshold)
-
-
 @dataclass(frozen=True, eq=False)
 class CriteriaSignature:
     """All D and F values for one state plus their vanishing pattern.
@@ -213,23 +191,21 @@ class CriteriaSignature:
 
 def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
                        include_f: bool | None = None) -> CriteriaSignature:
-    """Evaluate every criterion; D/F values are degree-4, so the vanishing
-    threshold scales with the squared norm.  Values are computed and decided
-    on the exactly scaled 2**-k * s and reported raw, times 2**(4k).
+    """Evaluate every criterion, a degree-4 value each, decided on the exactly
+    scaled 2**-k * s and reported raw by invariant._decide.
 
     include_f defaults to n <= 6 (the F family grows combinatorially).
     """
     scaled, k = _scaled(s)
-    threshold = vanishing_threshold(scaled.norm_squared(), tol, 4)
-    if s.n >= 4:
-        d = _criterion_values(*_d_values(scaled.amplitudes, s.n), threshold, 4 * k)
-    else:
-        d = _criterion_values(np.empty((0, 3)), np.empty((0, 3)), threshold, 4 * k)
+    nsq = scaled.norm_squared()
+    empty = np.empty((0, 3))
+    d_parts = _d_values(scaled.amplitudes, s.n) if s.n >= 4 else (empty, empty)
+    d = _decide(*d_parts, nsq, tol, 4, k)
     if include_f is None:
         include_f = s.n <= _F_SIGNATURE_MAX_N
     f_included = bool(include_f and s.n >= 3)
     tuples = f_enumerate(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
-    f = _criterion_values(*_f_values(scaled.amplitudes, tuples), threshold, 4 * k)
+    f = _decide(*_f_values(scaled.amplitudes, tuples), nsq, tol, 4, k)
     return CriteriaSignature(n=s.n, tol=tol, d=d, f_tuples=tuples, f=f,
                              f_included=f_included)
 

@@ -21,6 +21,11 @@ Every sum is compensated in fixed index order, so cancellation-heavy
 states (W, single-qubit tensor factors) evaluate to clean zeros and
 results are reproducible bit-for-bit; a term array of at most _LANES
 floats has one float per lane and sums exactly as math.fsum does.
+
+One helper, `_decide`, makes every vanishing decision and unscales every
+value that `invariant_report` and `criteria.criteria_signature` report,
+and raises NormOverflow rather than report a value that is not finite.
+`tau`, the `iv_*` functions and `odd_invariant` are raw evaluations.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -189,16 +194,16 @@ def vanishing_threshold(norm_squared: float, tol: float = DEFAULT_TOL,
 
     The bound is homogeneous of the value's degree, so scaling a state
     by any c != 0 never changes a vanishing decision beyond rounding.
-    Raises NormOverflow when the bound is not a finite float: |s|^2 is
-    itself inf, or (|s|^2)**(degree/2) overflows.
+    Raises NormOverflow when the bound is not a finite float; on the
+    scaled state that the reports decide on, only a huge tol does that.
     """
     try:
         threshold = tol * norm_squared ** (degree / 2)
     except OverflowError:
         threshold = math.inf
     if not math.isfinite(threshold):
-        raise NormOverflow(f"|s|^2 = {norm_squared:.6g} is too large for a finite "
-                           f"degree-{degree} vanishing threshold")
+        raise NormOverflow(f"tol = {tol:.6g} is too large for a finite degree-{degree} "
+                           f"vanishing threshold tol * |s|^{degree}")
     return threshold
 
 
@@ -206,6 +211,36 @@ def vanishing(value: complex, norm_squared: float,
               tol: float = DEFAULT_TOL, degree: int = 2) -> bool:
     """Norm-scaled zero test: |value| <= tol * (|s|^2)**(degree/2)."""
     return abs(value) <= vanishing_threshold(norm_squared, tol, degree)
+
+
+class CriterionValues(NamedTuple):
+    """Raw values of one degree as float64 arrays, with their vanishing decisions."""
+
+    re: np.ndarray
+    im: np.ndarray
+    magnitude: np.ndarray  # np.hypot(re, im), equal to abs() of the complex value
+    vanishing: np.ndarray  # decided on the scaled values, see _decide
+
+
+def _decide(re: np.ndarray, im: np.ndarray, norm_squared: float, tol: float,
+            degree: int, k: int) -> CriterionValues:
+    """Decide degree-d values v of the scaled 2**-k * s of statevec._scaled,
+    whose squared norm is norm_squared, and unscale them.
+
+    v vanishes when |v| <= vanishing_threshold(norm_squared, tol, d), so
+    s and 2**j * s get bit-identical decisions; it is reported raw, as
+    v * 2**(k*d), exact unless a part underflows.  Raises NormOverflow
+    when a raw value is not a finite float.
+    """
+    magnitude = np.hypot(re, im)
+    vanishing = magnitude <= vanishing_threshold(norm_squared, tol, degree)
+    e = k * degree
+    with np.errstate(over="ignore"):
+        raw = [np.ldexp(x, e) for x in (re, im, magnitude)]
+    if not np.isfinite(raw[2]).all():  # ldexp is monotone: covers re and im
+        raise NormOverflow(f"raw value |v| = {magnitude.max():.6g} * 2**{e} is too large "
+                           "for a float")
+    return CriterionValues(*raw, vanishing)
 
 
 @dataclass(frozen=True)
@@ -226,48 +261,33 @@ class InvariantReport:
     vanishing: Mapping[str, bool]
 
 
-def _unscaled(x, e: int):
-    """x * 2**e for a float or complex x, exact unless a part underflows.
-
-    Raises NormOverflow when a part leaves the float range.
-    """
-    try:
-        if isinstance(x, complex):
-            return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
-        return math.ldexp(x, e)
-    except OverflowError:
-        raise NormOverflow(f"raw value |v| = {abs(x):.6g} * 2**{e} is too large "
-                           "for a float") from None
-
-
 def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantReport:
-    """Values of s and their vanishing flags, decided on the exactly scaled
-    2**-k * s of statevec._scaled: a degree-d value v is reported as the raw
-    v * 2**(k*d), so the flags of s and 2**j * s are bit-identical.
+    """Values of s and their vanishing flags, each decided and unscaled by
+    _decide; tau = 2|IV*| (even n) or 4|odd invariant| (odd n) is unscaled
+    with the value it is built from and shares its flag.
     """
     if s.n < 2:
         raise TooFewQubits(f"invariant_report needs n >= 2, got {s.n}")
     scaled, k = _scaled(s)
     nsq = scaled.norm_squared()
-    threshold = vanishing_threshold(nsq, tol)
+
+    def decide(degree: int, values: list) -> CriterionValues:
+        v = np.array(values, dtype=np.complex128)
+        return _decide(v.real, v.imag, nsq, tol, degree, k)
+
     if s.n % 2 == 0:
         star = iv_star(scaled)
-        flags = {"iv_star": abs(star) <= threshold, "tau": abs(star) <= threshold}
-        return InvariantReport(n=s.n, parity="even", tau=_unscaled(2.0 * abs(star), 2 * k),
-                               iv_star=_unscaled(star, 2 * k), iv_bar=None,
-                               iv_star_shifted=None, odd_invariant=None,
-                               vanishing=MappingProxyType(flags))
-    threshold4 = vanishing_threshold(nsq, tol, 4)
-    bar, low, high, combo = _odd_parts(scaled)
-    flags = {
-        "iv_star": abs(low) <= threshold,
-        "iv_bar": abs(bar) <= threshold,
-        "iv_star_shifted": abs(high) <= threshold,
-        "odd_invariant": abs(combo) <= threshold4,
-        "tau": abs(combo) <= threshold4,
-    }
-    return InvariantReport(n=s.n, parity="odd", tau=_unscaled(4.0 * abs(combo), 4 * k),
-                           iv_star=_unscaled(low, 2 * k), iv_bar=_unscaled(bar, 2 * k),
-                           iv_star_shifted=_unscaled(high, 2 * k),
-                           odd_invariant=_unscaled(combo, 4 * k),
-                           vanishing=MappingProxyType(flags))
+        top = decide(2, [star, 2.0 * abs(star)])  # IV* and tau
+        fields = {"iv_star": (top, 0)}
+    else:
+        bar, low, high, combo = _odd_parts(scaled)
+        top = decide(4, [combo, 4.0 * abs(combo)])  # the odd invariant and tau
+        halves = decide(2, [low, bar, high])
+        fields = {"iv_star": (halves, 0), "iv_bar": (halves, 1),
+                  "iv_star_shifted": (halves, 2), "odd_invariant": (top, 0)}
+    values = dict.fromkeys(("iv_bar", "iv_star_shifted", "odd_invariant"))
+    values.update((name, complex(rec.re[i], rec.im[i])) for name, (rec, i) in fields.items())
+    flags = {name: bool(rec.vanishing[i]) for name, (rec, i) in fields.items()}
+    flags["tau"] = bool(top.vanishing[0])
+    return InvariantReport(n=s.n, parity="odd" if s.n % 2 else "even", tau=float(top.re[1]),
+                           **values, vanishing=MappingProxyType(flags))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, JSON documents, exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -299,6 +300,16 @@ def test_norm_overflow_exits_one_with_one_line(tmp_path, capsys, command):
         assert "too large" in err
 
 
+def test_huge_tol_names_tol_in_its_one_line(tmp_path, capsys):
+    # |s|^2 of w6 is 1; the threshold on its scaled state is tol * 4, beyond the float range
+    f = tmp_path / "w6.json"
+    run(capsys, "make", "w", "--n", "6", "-o", str(f))
+    code, out, err = run(capsys, "invariant", "--input", str(f), "--tol", "1e308")
+    assert_one_error_line(code, out, err)
+    assert "tol = 1e+308" in err and "degree-2" in err and "too large" in err
+    assert "|s|^2 = 4" not in err
+
+
 def test_state_file_roundtrip_via_cli(tmp_path, capsys):
     f = tmp_path / "r.json"
     run(capsys, "make", "random", "--n", "4", "--seed", "17", "-o", str(f))
@@ -492,3 +503,36 @@ def test_readme_cli_block_parses():
         assert argv[0] == "sloccinv"
         parser.parse_args(argv[1:])
     assert ["sloccinv", "make", "product", "-o", "g4p.json", "g2.json", "g2.json"] in lines
+
+
+# sha256 of each report's stdout, trailing newline included, on exact states
+# only (a random state's norm goes through BLAS, whose rounding may vary).
+REPORT_DIGESTS = [
+    ("invariant --input g3.json",
+     "7e81df70ad591fe07c4c2ca5d0998e43daca21711ded3d9fe86bd87b513d2dd8"),
+    ("invariant --input w3.json",
+     "d69cb19577fec2686989214e9ed9852bf700718b590ae02204ccdc170b875f57"),
+    ("invariant --input g4.json",
+     "69e0a6ae1a6295419acb1cbccb78e8d4f9adeec2b72d9fe9b1f5754c6b4649ba"),
+    ("invariant --input c.json --oracle --tol 1e-3",
+     "db13f91847db7985fbc85bcce9734ee520812ee8aea058b20d7009347b14cc12"),
+    ("invariant --input w5.json",
+     "9175a016e92cd6324f44bd6422521ce357966dffcb9d3f1d2ef26c156ec04a41"),
+    ("criteria --input c.json",
+     "af106fb9f017438b56978c4c61b93bcab08e3dad5867107213ddf8a77b2bb64d"),
+    ("compare g3.json w3.json",
+     "325e1283291fba6d537a125f8e274d126f32533bc2408e83a723872f201fb839"),
+    ("compare g4.json c.json",
+     "d5370e4112591b5f922c5ab96be2016728cd83dcbce94c11c213da1dd6764899"),
+]
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["ghz", "--n", "3", "-o", "g3.json"], ["w", "--n", "3", "-o", "w3.json"],
+                 ["ghz", "--n", "4", "-o", "g4.json"], ["cluster-c", "-o", "c.json"],
+                 ["w", "--n", "5", "-o", "w5.json"]):
+        assert run(capsys, "make", *argv)[0] == 0
+    for command, digest in REPORT_DIGESTS:
+        out = run(capsys, *command.split())[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

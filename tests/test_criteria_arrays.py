@@ -8,7 +8,6 @@ count.
 """
 
 import json
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +28,6 @@ from sloccinv import (
     w_state,
 )
 from sloccinv.cli import _F_ROW, _dumps, _f_columns, _signature_doc
-from sloccinv.criteria import CriterionValues
 
 
 def render(doc, sig):
@@ -179,17 +177,6 @@ def test_rendered_report_matches_dict_json(name):
     nested = {"invariants": {"n": sig.n}, "criteria": expected, "tau": 0.5}
     slotted = dict(nested, criteria=_signature_doc(sig))
     assert render(slotted, sig) == json.dumps(nested, indent=2)
-
-
-def test_rendered_report_spells_non_finite_values_as_json():
-    sig = criteria_signature(ghz(4))
-    re, im = sig.f.re.copy(), sig.f.im.copy()
-    re[:3] = [np.inf, -np.inf, np.nan]
-    im[3] = np.nan
-    sig = replace(sig, f=CriterionValues(re, im, np.hypot(re, im), sig.f.vanishing))
-    expected = json.dumps(dict_signature(sig), indent=2)
-    assert "Infinity" in expected and "NaN" in expected
-    assert render(_signature_doc(sig), sig) == expected
 
 
 def test_report_without_f_entries_is_plain_json():
