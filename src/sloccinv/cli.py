@@ -19,8 +19,11 @@ import numpy as np
 from . import classify, criteria, invariant, oracle, signtab, slocc, statevec
 from .errors import BadArgs, SloccInvError
 
-DEFAULT_MAX_N = 26      # 2**26 complex amplitudes ~= 1 GiB; override with --max-n
+DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such vectors
+                        # (input, output), a verify trial one; override with --max-n
 VERIFY_GATE = 1e-8
+_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: 379 B enumerate, 834 B --set f
+_F_BUDGET = 4 << 30     # --force-f refuses F work estimated above 4 GiB (n >= 8)
 
 
 def _checked(kind, accept, rule: str):
@@ -40,6 +43,18 @@ def _check_n(n: int, max_n: int, floor: int = 1) -> int:
     if n > max_n:
         raise BadArgs(f"n={n} exceeds the cap {max_n} (raise it with --max-n)")
     return n
+
+
+def _check_f_fits(n: int) -> None:
+    """Refuse F work estimated above the budget, before any tuple is built."""
+    if n >= 63:  # f_enumerate's int64 subscripts reach 2**n - 1; the count has ~1.2n digits
+        raise BadArgs(f"F criteria at n={n} need subscripts up to 2^{n} - 1, beyond int64")
+    count = criteria._f_count(n)
+    need = count * _F_TUPLE_BYTES
+    if need > _F_BUDGET:
+        raise BadArgs(f"F criteria at n={n} need {count} tuples, an estimated "
+                      f"{-(-need >> 30)} GiB at {_F_TUPLE_BYTES} B each, above the "
+                      f"{_F_BUDGET >> 30} GiB budget even with --force-f")
 
 
 def _load(path: str, max_n: int) -> statevec.StateVector:
@@ -164,6 +179,7 @@ def cmd_criteria(args) -> int:
         if args.n > 7 and not args.force_f:
             raise BadArgs(f"F enumeration at n={args.n} is combinatorially large; "
                           "pass --force-f to insist")
+        _check_f_fits(args.n)
         tuples = criteria.f_enumerate(args.n)
         doc = {
             "n": args.n,
@@ -183,6 +199,8 @@ def cmd_criteria(args) -> int:
     if include_f and s.n > criteria._F_SIGNATURE_MAX_N and not args.force_f:
         raise BadArgs(f"F evaluation at n={s.n} is combinatorially large; "
                       "pass --force-f to insist")
+    if include_f:
+        _check_f_fits(s.n)
     sig = criteria.criteria_signature(s, args.tol, include_f=include_f)
     doc = _signature_doc(sig)
     if args.set == "f":

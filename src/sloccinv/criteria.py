@@ -11,7 +11,8 @@ subscripts by 1 (odd sums) or 2 (even sums); tuples whose shifted
 subscripts leave [0, 2**n - 1] are excluded from enumeration.  The pair
 count per (sum, xor) class is a power of two, so the tuple count grows
 roughly like 2**(4n); enumeration beyond n ~ 7 is impractical and the
-CLI refuses it by default.
+CLI refuses it by default, and with --force-f too once `_f_count`, the
+closed-form row count, puts it above the CLI's memory budget.
 
 Array form.  Results exist only as arrays: `criteria_signature` holds
 the D and F values as float64 (re, im) arrays with their magnitudes and
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -133,6 +135,15 @@ def f_enumerate(n: int) -> np.ndarray:
     t = t[np.lexsort((t[:, 6], t[:, 4], t[:, 2], t[:, 0], t[:, 0] + t[:, 1]))]
     t.setflags(write=False)
     return t
+
+
+def _f_count(n: int) -> int:
+    """Rows f_enumerate(n) builds before its exclusion filter, in O(n) arithmetic.
+
+    The 2**(n - p) classes of each XOR x of popcount p have 2**(p - 1)
+    pairs each, so sum over p of C(n, p) * 2**(n - p) * C(2**(p - 1), 4).
+    """
+    return sum(comb(n, p) * 2 ** (n - p) * comb(2 ** (p - 1), 4) for p in range(1, n + 1))
 
 
 def f_evaluate(s: StateVector, t) -> complex:

@@ -3,15 +3,17 @@
 A chain A_1 x ... x A_n is one read-only (n, 2, 2) complex128 array, and
 the laws see it only through those matrices and their determinants, dets.
 apply_chain sweeps the n 2x2 operators over the amplitude vector in
-O(n * 2**n) time and O(2**n) extra space: the leading qubits four at a
-time as 16x16 Kronecker blocks, the last six or fewer as one row GEMM.
-The full 2**n x 2**n matrix is never formed.  verify_theorem1 and
-verify_theorem2 are randomized harnesses for the transform laws
+O(n * 2**n) time: the leading qubits four at a time as 16x16 Kronecker
+blocks, the last six or fewer as one row GEMM.  Its extra memory is the
+one output vector plus a 512 KiB slab; the full 2**n x 2**n matrix is
+never formed.  verify_theorem1 and verify_theorem2 are randomized
+harnesses for the transform laws
 
     theorem 1 (even n):  IV*(a, n) = IV*(b, n) * prod(det)
     theorem 2 (odd n):   odd_invariant(a) = odd_invariant(b) * prod(det)**2
 
-where a = chain(b).
+where a = chain(b).  Each trial folds its own draw b into a in place
+through the same passes, so a trial holds one amplitude vector.
 """
 
 from __future__ import annotations
@@ -88,24 +90,25 @@ _SCRATCH_COMPLEX = 1 << 15  # 512 KiB slab keeps the in-place working set in L2;
                             # at least 2**_TAIL, so one row of any pass fits
 
 
-def _mix_inplace(buf: np.ndarray, op: np.ndarray, pre: int, block: int,
-                 scratch: np.ndarray) -> None:
-    """In-place axis mix of the (pre, dim, block) view of buf.
+def _mix(src: np.ndarray, dst: np.ndarray, op: np.ndarray, pre: int, block: int,
+         scratch: np.ndarray) -> None:
+    """Axis mix of the (pre, dim, block) view of src into the same view of dst.
 
-    Pieces are copied into the contiguous slab and the matmul writes back
-    over their original location, so only the slab is extra memory.
+    Each piece of src is copied into the contiguous slab and the matmul
+    writes it to the same location of dst, so src may be dst and only
+    the slab is extra memory.
     """
     dim = op.shape[0]
     if block == 1:  # trailing qubits: rows of dim amplitudes, one GEMM per slab
-        rows = buf.reshape(-1, dim)
+        rows, out = src.reshape(-1, dim), dst.reshape(-1, dim)
         step = _SCRATCH_COMPLEX // dim
         for a in range(0, rows.shape[0], step):
             piece = rows[a:a + step]
             slab = scratch[:piece.size].reshape(piece.shape)
             slab[...] = piece
-            np.matmul(slab, op.T, out=piece)
+            np.matmul(slab, op.T, out=out[a:a + step])
         return
-    view = buf.reshape(pre, dim, block)
+    view, out = src.reshape(pre, dim, block), dst.reshape(pre, dim, block)
     width = min(block, _SCRATCH_COMPLEX // dim)  # block-axis chunk
     step = _SCRATCH_COMPLEX // (dim * width)     # rows per chunk
     for c in range(0, block, width):
@@ -113,7 +116,23 @@ def _mix_inplace(buf: np.ndarray, op: np.ndarray, pre: int, block: int,
             piece = view[a:a + step, :, c:c + width]
             slab = scratch[:piece.size].reshape(piece.shape)
             slab[...] = piece
-            np.matmul(op, slab, out=piece)
+            np.matmul(op, slab, out=out[a:a + step, :, c:c + width])
+
+
+def _fold(chain: LocalOperatorChain, src: np.ndarray, dst: np.ndarray) -> None:
+    """Write chain(src) to dst pass by pass; src may be dst (an in-place fold).
+
+    The first pass reads src and every later pass reads dst, so src is
+    never written unless it is dst.
+    """
+    n = len(chain)
+    scratch = np.empty(min(_SCRATCH_COMPLEX, dst.size), dtype=np.complex128)
+    k = 0
+    while k < n:
+        width = n - k if n - k <= _TAIL else _GROUP
+        _mix(src if k == 0 else dst, dst, reduce(np.kron, chain.ops[k:k + width]),
+             pre=1 << k, block=1 << (n - k - width), scratch=scratch)
+        k += width
 
 
 def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
@@ -122,28 +141,16 @@ def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     Operators are folded in qubit order.  Each pass over the leading
     qubits applies the Kronecker product of four operators (a 16x16
     block); once at most six qubits remain they are folded together as
-    one GEMM over rows of up to 64 amplitudes.  The first pass writes the
-    single full-size work buffer from the input; later passes update it
-    in place through a small slab, so peak extra memory is one amplitude
-    vector plus the slab.  The input state is never written.
+    one GEMM over rows of up to 64 amplitudes.  Every pass goes through
+    a small slab into the one output vector: the first reads s, the
+    later ones update the output in place, so peak extra memory is one
+    amplitude vector plus the slab.  The input state is never written.
     """
-    n = s.n
-    if len(chain) != n:
-        raise LengthMismatch(f"chain has {len(chain)} operators for n={n}")
+    if len(chain) != s.n:
+        raise LengthMismatch(f"chain has {len(chain)} operators for n={s.n}")
     buf = np.empty_like(s.amplitudes)
-    scratch = np.empty(min(_SCRATCH_COMPLEX, buf.size), dtype=np.complex128)
-    k = 0
-    while k < n:
-        width = n - k if n - k <= _TAIL else _GROUP
-        op = reduce(np.kron, chain.ops[k:k + width])
-        if k == 0:
-            dim = op.shape[0]
-            np.matmul(op, s.amplitudes.reshape(dim, -1), out=buf.reshape(dim, -1))
-        else:
-            _mix_inplace(buf, op, pre=1 << k, block=1 << (n - k - width),
-                         scratch=scratch)
-        k += width
-    return _wrap(n, buf)
+    _fold(chain, s.amplitudes, buf)
+    return _wrap(s.n, buf)
 
 
 def _random_ops(rng: np.random.Generator, n: int, unit_det: bool) -> LocalOperatorChain:
@@ -172,15 +179,26 @@ def _transform_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / abs(lhs)
 
 
+def _trial(n: int, seed: int, value, det_power: int) -> float:
+    """One seeded trial of a transform law on a private draw, folded in place.
+
+    The draw and then the chain come from one substream, and the state
+    is wrapped as read-only views of the one vector, so the trial holds
+    a single amplitude vector.
+    """
+    rng = np.random.default_rng(seed)
+    x = _random_amplitudes(rng, n)
+    chain = _random_ops(rng, n, unit_det=False)
+    before = value(_wrap(n, x.view()))
+    _fold(chain, x, x)
+    after = value(_wrap(n, x.view()))
+    return _transform_error(after, before * det_product(chain) ** det_power)
+
+
 def _verify(n: int, trials: int, seed: int, value, det_power: int) -> float:
     worst = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)  # per-trial substream
-        b = _wrap(n, _random_amplitudes(rng, n))
-        chain = _random_ops(rng, n, unit_det=False)
-        a = apply_chain(chain, b)
-        scale = det_product(chain) ** det_power
-        worst = max(worst, _transform_error(value(a), value(b) * scale))
+    for trial in range(trials):  # nothing of one trial is alive during the next
+        worst = max(worst, _trial(n, seed + trial, value, det_power))
     return worst
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sloccinv import (achieved_pair_sums, complement, f_enumerate, load_state,
+from sloccinv import (achieved_pair_sums, complement, criteria, f_enumerate, load_state,
                       random_state, save_state)
 from sloccinv.cli import build_parser, main
 
@@ -195,6 +195,26 @@ def test_criteria_enumerate_refuses_large_n(capsys):
     code, _, err = run(capsys, "criteria", "enumerate", "--n", "9")
     assert code == 1
     assert "force-f" in err
+
+
+def test_force_f_refuses_what_cannot_fit_before_enumerating(tmp_path, capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("f_enumerate must not be called")
+
+    monkeypatch.setattr(criteria, "f_enumerate", never)
+    f = tmp_path / "r9.json"
+    save_state(random_state(9, 1), f)
+    for argv in (["criteria", "enumerate", "--n", "9"], ["criteria", "--input", str(f)],
+                 ["criteria", "--input", str(f), "--set", "f"]):
+        code, out, err = run(capsys, *argv, "--force-f")
+        assert_one_error_line(code, out, err)
+        assert "n=9 need 486432640 tuples" in err and "GiB" in err
+    code, out, err = run(capsys, "criteria", "enumerate", "--n", "5000", "--max-n", "5000",
+                         "--force-f")
+    assert_one_error_line(code, out, err)
+    assert "beyond int64" in err
+    code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "d", "--force-f")
+    assert code == 0 and json.loads(out)["f_included"] is False
 
 
 def test_criteria_enumerate_accepts_explicit_defaults(capsys):

@@ -17,7 +17,7 @@ from sloccinv import (
     new_state,
     w_state,
 )
-from sloccinv.criteria import _d_values
+from sloccinv.criteria import _d_values, _f_count
 
 RNG = np.random.default_rng(271828)
 
@@ -135,6 +135,14 @@ def test_f_sum_set_n4():
     sums = set(achieved_pair_sums(4))
     assert {7, 11, 13, 14, 15, 16, 17, 19, 23} <= sums
     assert sums.isdisjoint({8, 9, 10, 12, 18, 20, 21, 22})
+
+
+def test_f_count_is_the_enumerated_row_count():
+    # the closed form counts rows before the exclusion filter; it removes none up to n=7
+    counts = [1, 78, 2560, 62160, 1311856]
+    assert [_f_count(n) for n in range(3, 8)] == counts
+    assert [f_enumerate(n).shape[0] for n in range(3, 8)] == counts
+    assert (_f_count(8), _f_count(9)) == (25757088, 486432640)
 
 
 def test_f_enumerate_too_few_qubits():

@@ -1,6 +1,7 @@
 """Local-operator chains: application, determinants, transform-law harnesses."""
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -26,7 +27,7 @@ from sloccinv import (
     verify_theorem2,
     w_state,
 )
-from sloccinv import slocc
+from sloccinv import cli, slocc
 from sloccinv.errors import NormOverflow
 
 RNG = np.random.default_rng(314159)
@@ -174,6 +175,13 @@ def test_apply_matches_per_qubit_reference_every_pass_plan():
         assert_matches_reference(random_chain(n, seed=500 + n), rand_state(n))
 
 
+def assert_in_place_fold_is_apply_chain(chain, s):
+    x = s.amplitudes.copy()
+    slocc._fold(chain, x, x)
+    np.testing.assert_array_equal(x.view(np.uint64),
+                                  apply_chain(chain, s).amplitudes.view(np.uint64))
+
+
 @pytest.mark.parametrize("scratch", [64, 256, 1024])
 def test_apply_chunked_slab_matches_reference(monkeypatch, scratch):
     # a slab down to one 64-amplitude row forces block-axis chunks (width <
@@ -181,7 +189,18 @@ def test_apply_chunked_slab_matches_reference(monkeypatch, scratch):
     # in the tail GEMM
     monkeypatch.setattr(slocc, "_SCRATCH_COMPLEX", scratch)
     for n in (7, 10, 11, 13, 16):
-        assert_matches_reference(random_chain(n, seed=900 + n), rand_state(n))
+        chain, s = random_chain(n, seed=900 + n), rand_state(n)
+        assert_matches_reference(chain, s)
+        assert_in_place_fold_is_apply_chain(chain, s)
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 20])
+def test_in_place_fold_is_apply_chain_bit_for_bit(n):
+    # the verify harness folds its own draw in place; apply_chain writes a
+    # new vector through the same passes, so the bits agree exactly
+    for seed in (0, 1, 2) if n <= 14 else (0,):
+        assert_in_place_fold_is_apply_chain(random_chain(n, seed=seed + 40),
+                                            random_state(n, seed))
 
 
 def test_apply_chain_leaves_input_untouched():
@@ -235,6 +254,33 @@ def test_verify_theorem2_spec_points():
     assert verify_theorem2(3, 100, 1) <= 1e-9
     assert verify_theorem2(5, 100, 1) <= 1e-9
     assert verify_theorem2(7, 50, 1) <= 1e-8
+
+
+@pytest.mark.parametrize("verify, n", [(verify_theorem1, 18), (verify_theorem2, 17)])
+def test_verify_trial_holds_one_vector(verify, n):
+    # one trial at a time, each folding its own draw in place: the peak
+    # stays near one 16 * 2**n-byte vector (it was three before)
+    verify(n, 1, 7)  # warm the sign tables
+    tracemalloc.start()
+    try:
+        verify(n, 3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * 2**n, peak / (16 * 2**n)
+
+
+def test_verify_goes_through_the_apply_chain_passes(monkeypatch):
+    # a pass routine off by 1e-6 per pass must fail the CLI gate, so the
+    # harness cannot bypass the passes that apply_chain uses
+    mix = slocc._mix
+
+    def off(src, dst, *args, **kwargs):
+        mix(src, dst, *args, **kwargs)
+        dst *= 1 + 1e-6
+
+    monkeypatch.setattr(slocc, "_mix", off)
+    assert verify_theorem1(8, 5, 1) > cli.VERIFY_GATE
 
 
 def test_transform_error_near_zero_is_an_absolute_check():
