@@ -3,7 +3,8 @@
 Exit codes: compare returns 2 for ProvablyInequivalent (0 otherwise);
 verify returns 1 when the measured error exceeds the gate; a usage error
 or any handled error returns 1 with one `error:` line.  All outputs are
-deterministic for fixed inputs and seeds.
+deterministic for fixed inputs and seeds, whatever the BLAS thread count:
+norms are fixed-order sums, not BLAS reductions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such
                         # (input, output), a verify trial one; override with --max-n
 VERIFY_GATE = 1e-8
 _F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: 379 B enumerate, 834 B --set f
-_F_BUDGET = 4 << 30     # --force-f refuses F work estimated above 4 GiB (n >= 8)
+_F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (n >= 8), --force-f or not
 
 
 def _checked(kind, accept, rule: str):
@@ -165,8 +166,8 @@ def cmd_invariant(args) -> int:
 def cmd_criteria(args) -> int:
     if args.action == "enumerate":
         given = {"--input": args.input is not None, "--set": args.set != "all",
-                 "--tol": args.tol != invariant.DEFAULT_TOL}
-        reads = "criteria enumerate reads only --n, --force-f and --max-n"
+                 "--tol": args.tol != invariant.DEFAULT_TOL, "--force-f": args.force_f}
+        reads = "criteria enumerate reads only --n and --max-n"
     else:
         given, reads = {"--n": args.n is not None}, "only criteria enumerate reads --n"
     unread = " ".join(flag for flag, on in given.items() if on)
@@ -176,9 +177,6 @@ def cmd_criteria(args) -> int:
         if args.n is None:
             raise BadArgs("criteria enumerate requires --n")
         _check_n(args.n, args.max_n, floor=3)
-        if args.n > 7 and not args.force_f:
-            raise BadArgs(f"F enumeration at n={args.n} is combinatorially large; "
-                          "pass --force-f to insist")
         _check_f_fits(args.n)
         tuples = criteria.f_enumerate(args.n)
         doc = {
@@ -196,11 +194,11 @@ def cmd_criteria(args) -> int:
         raise BadArgs("criteria requires --input (or the enumerate action)")
     s = _load(args.input, args.max_n)
     include_f = args.set in ("f", "all")
-    if include_f and s.n > criteria._F_SIGNATURE_MAX_N and not args.force_f:
-        raise BadArgs(f"F evaluation at n={s.n} is combinatorially large; "
-                      "pass --force-f to insist")
     if include_f:
         _check_f_fits(s.n)
+        if s.n > criteria._F_SIGNATURE_MAX_N and not args.force_f:
+            raise BadArgs(f"F evaluation at n={s.n} is combinatorially large; "
+                          "pass --force-f to insist")
     sig = criteria.criteria_signature(s, args.tol, include_f=include_f)
     doc = _signature_doc(sig)
     if args.set == "f":
@@ -312,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--n", type=int, default=None)
     p_crit.add_argument("--set", choices=["d", "f", "all"], default="all")
     p_crit.add_argument("--force-f", action="store_true",
-                        help="allow F enumeration beyond the practical cap")
+                        help="allow F evaluation at n=7; F work above the memory "
+                             "budget (n >= 8) is refused even so")
     p_crit.set_defaults(func=cmd_criteria)
 
     p_cmp = sub.add_parser("compare", parents=[max_n, tol],

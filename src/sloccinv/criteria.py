@@ -10,9 +10,9 @@ i^j = k^l = p^q = r^s.  The evaluated expression shifts half the
 subscripts by 1 (odd sums) or 2 (even sums); tuples whose shifted
 subscripts leave [0, 2**n - 1] are excluded from enumeration.  The pair
 count per (sum, xor) class is a power of two, so the tuple count grows
-roughly like 2**(4n); enumeration beyond n ~ 7 is impractical and the
-CLI refuses it by default, and with --force-f too once `_f_count`, the
-closed-form row count, puts it above the CLI's memory budget.
+roughly like 2**(4n).  The CLI refuses F work that `_f_count`, the
+closed-form row count, puts above its memory budget (every n >= 8),
+with or without --force-f, which only unlocks evaluation at n = 7.
 
 Array form.  Results exist only as arrays: `criteria_signature` holds
 the D and F values as float64 (re, im) arrays with their magnitudes and

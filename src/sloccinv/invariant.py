@@ -43,43 +43,32 @@ from .statevec import StateVector, _scaled
 
 DEFAULT_TOL = 1e-10   # vanishing threshold, scaled by the norm (see `vanishing`)
 
-_LANES = 8192         # even, so interleaved re/im floats never share a lane
-_CHUNK = _LANES // 2  # complex terms per slab: one lane row, 64 KiB
+_LANES = 8192  # even, so interleaved re/im floats never share a lane; a slab is one row
 
 
 class _CompensatedAccumulator:
-    """Streaming compensated sum over complex term chunks.
+    """Compensated sum over slabs of at most _LANES // 2 complex terms.
 
-    Chunks are viewed as interleaved re/im float64, and the float at
-    stream position p is added into lane p % _LANES by Knuth's
-    branch-free TwoSum, whose exact rounding error goes into the lane's
-    compensation: the wide-lane form of Ogita, Rump & Oishi's Sum2.
-    Lanes follow float positions, not chunks, so any chunking of the
-    stream gives the same bits, and real and imaginary parts keep their
-    lanes.  Lane totals and compensations are combined exactly with
-    math.fsum, so the result is deterministic and immune to cancellation
-    ordering; a stream of at most _LANES floats has one float per lane,
-    so its sum is exactly math.fsum's.
+    A slab is viewed as interleaved re/im float64, and its float j is
+    added into lane j by Knuth's branch-free TwoSum, whose exact rounding
+    error goes into the lane's compensation: the wide-lane form of Ogita,
+    Rump & Oishi's Sum2.  Real and imaginary parts keep their lanes.  The
+    lane totals and compensations of the widest slab are combined exactly
+    with math.fsum, so the result is deterministic and immune to
+    cancellation ordering; one slab has one float per lane, so its sum is
+    exactly math.fsum's.
     """
 
     def __init__(self):
-        self._pos = 0
+        self._used = 0  # lanes past the widest slab hold +0.0
         self._total = np.zeros(_LANES)
         self._comp = np.zeros(_LANES)
         self._scratch = np.empty((3, _LANES))
 
     def add(self, terms: np.ndarray) -> None:
-        x = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
-        start = 0
-        while start < x.size:
-            lane = self._pos % _LANES
-            width = min(_LANES - lane, x.size - start)
-            self._two_sum(x[start:start + width], lane)
-            start += width
-            self._pos += width
-
-    def _two_sum(self, row: np.ndarray, lane: int) -> None:
-        total = self._total[lane:lane + row.size]
+        row = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
+        self._used = max(self._used, row.size)
+        total = self._total[:row.size]
         s, b, err = self._scratch[:, :row.size]
         np.add(total, row, out=s)
         np.subtract(s, total, out=b)    # the part of row that reached s
@@ -87,12 +76,11 @@ class _CompensatedAccumulator:
         np.subtract(total, err, out=err)  # what total lost in s
         np.subtract(row, b, out=b)      # what row lost in s
         err += b
-        self._comp[lane:lane + row.size] += err
+        self._comp[:row.size] += err
         total[...] = s
 
     def total(self) -> complex:
-        used = min(self._pos, _LANES)  # lanes past the stream's end hold +0.0
-        total, comp = self._total[:used], self._comp[:used]
+        total, comp = self._total[:self._used], self._comp[:self._used]
         re = math.fsum(total[0::2].tolist()) + math.fsum(comp[0::2].tolist())
         im = math.fsum(total[1::2].tolist()) + math.fsum(comp[1::2].tolist())
         return complex(re, im)
@@ -115,7 +103,7 @@ def _bracket_sum(a: np.ndarray, sign: int) -> complex:
     m3, m4 = a[half - 1::-2][:mirrored], a[half::2][:mirrored]
     signs = sign_table(size.bit_length() - 1)
     fold = np.add if sign > 0 else np.subtract
-    step = min(m, _CHUNK)
+    step = min(m, _LANES // 2)  # 64 KiB of terms
     buf = np.empty((3, step), dtype=np.complex128)
     acc = _CompensatedAccumulator()
     for lo in range(0, m, step):

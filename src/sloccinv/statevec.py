@@ -22,7 +22,7 @@ from .errors import AllZero, LengthMismatch, NormOverflow, ParseError, TooFewQub
 _RESCALE_TOL = 1e-15  # normalize() returns its input unchanged this close to 1
 
 _CLUSTER_SUPPORT = (3, 5, 6, 9, 10, 12)
-_DRAW_SLAB = 1 << 16  # floats per rng.random call of _random_amplitudes (512 KiB)
+_DRAW_SLAB = 1 << 16  # floats per rng.random call and per partial norm (512 KiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +33,20 @@ class StateVector:
     amplitudes: np.ndarray
 
     def norm_squared(self) -> float:
-        return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
+        slab = np.empty(min(_DRAW_SLAB, self.amplitudes.size))
+        return _sum_of_squares(self.amplitudes, slab)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
+
+
+def _sum_of_squares(amps: np.ndarray, slab: np.ndarray) -> float:
+    """|amps|^2 in a fixed order that no BLAS thread count changes: np.add.reduce
+    over each slab.size-float row of squares (slab.size divides the float count),
+    the rows combined by math.fsum."""
+    rows = amps.view(np.float64).reshape(-1, slab.size)
+    with np.errstate(over="ignore"):  # an inf norm is a result: callers refuse or print it
+        return math.fsum(np.add.reduce(np.square(row, out=slab)) for row in rows)
 
 
 def _wrap(n: int, amplitudes: np.ndarray) -> StateVector:
@@ -127,10 +137,11 @@ def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm amplitudes with re/im parts drawn uniformly from [-1, 1].
 
     The bits and the generator's state afterwards equal those of
-    (rng.uniform(-1, 1, 2**n) + 1j * rng.uniform(-1, 1, 2**n)) / norm:
-    uniform(-1, 1) is -1 + 2r with one rounding (2r is exact), and numpy
-    divides a complex by a real as x * (1/norm) per component.  Drawing
-    through one reused slab keeps every temporary in cache.
+    (rng.uniform(-1, 1, 2**n) + 1j * rng.uniform(-1, 1, 2**n)) / norm,
+    with the fixed-order norm of StateVector.norm: uniform(-1, 1) is
+    -1 + 2r with one rounding (2r is exact), and numpy divides a complex
+    by a real as x * (1/norm) per component.  Drawing and summing the
+    squares through one reused slab keeps every temporary in cache.
     """
     amps = np.empty(1 << n, dtype=np.complex128)
     slab = np.empty(min(_DRAW_SLAB, amps.size))
@@ -139,7 +150,7 @@ def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
             rng.random(out=slab)
             slab *= 2.0
             np.subtract(slab, 1.0, out=part[lo:lo + slab.size])
-    amps.view(np.float64)[...] *= 1.0 / np.linalg.norm(amps)
+    amps.view(np.float64)[...] *= 1.0 / math.sqrt(_sum_of_squares(amps, slab))
     return amps
 
 

@@ -204,17 +204,31 @@ def test_force_f_refuses_what_cannot_fit_before_enumerating(tmp_path, capsys, mo
     monkeypatch.setattr(criteria, "f_enumerate", never)
     f = tmp_path / "r9.json"
     save_state(random_state(9, 1), f)
-    for argv in (["criteria", "enumerate", "--n", "9"], ["criteria", "--input", str(f)],
-                 ["criteria", "--input", str(f), "--set", "f"]):
-        code, out, err = run(capsys, *argv, "--force-f")
+    for argv in (["criteria", "enumerate", "--n", "9"],
+                 ["criteria", "--input", str(f), "--force-f"],
+                 ["criteria", "--input", str(f), "--set", "f", "--force-f"]):
+        code, out, err = run(capsys, *argv)
         assert_one_error_line(code, out, err)
         assert "n=9 need 486432640 tuples" in err and "GiB" in err
-    code, out, err = run(capsys, "criteria", "enumerate", "--n", "5000", "--max-n", "5000",
-                         "--force-f")
+    code, out, err = run(capsys, "criteria", "enumerate", "--n", "5000", "--max-n", "5000")
     assert_one_error_line(code, out, err)
     assert "beyond int64" in err
     code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "d", "--force-f")
     assert code == 0 and json.loads(out)["f_included"] is False
+
+
+def test_f_work_that_cannot_fit_is_refused_without_force_f(tmp_path, capsys, monkeypatch):
+    # the budget line comes first: --force-f would not make n=8 fit
+    def never(n):
+        raise AssertionError("f_enumerate must not be called")
+
+    monkeypatch.setattr(criteria, "f_enumerate", never)
+    f = tmp_path / "r8.json"
+    save_state(random_state(8, 1), f)
+    for argv in (["--set", "f"], []):
+        code, out, err = run(capsys, "criteria", "--input", str(f), *argv)
+        assert_one_error_line(code, out, err)
+        assert "n=8 need 25757088 tuples" in err and "4 GiB budget" in err
 
 
 def test_criteria_enumerate_accepts_explicit_defaults(capsys):
@@ -451,11 +465,12 @@ def test_cli_writes_no_state_file_it_could_not_read(tmp_path, capsys):
     ["make", "random", "a.json", "--n", "3"],
     ["make", "product", "a.json", "b.json", "c.json"],
     ["make", "complement", "a.json", "b.json"],
-    # criteria enumerate reads only --n, --force-f and --max-n; evaluation never reads --n
+    # criteria enumerate reads only --n and --max-n; evaluation never reads --n
     ["criteria", "enumerate", "--n", "3", "--input", "nonexist.json", "--set", "d", "--tol", "5"],
     ["criteria", "enumerate", "--n", "3", "--input", "a.json"],
     ["criteria", "enumerate", "--n", "3", "--set", "d"],
     ["criteria", "enumerate", "--n", "3", "--tol", "5"],
+    ["criteria", "enumerate", "--n", "3", "--force-f"],
     ["criteria", "--input", "a.json", "enumerate", "--n", "3"],
     ["criteria", "--set", "d", "enumerate", "--n", "3"],
     ["criteria", "--n", "3", "--input", "g3.json", "--set", "d"],

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,8 +263,9 @@ def test_random_amplitudes_bits_match_the_sum_and_divide_form():
     from sloccinv.statevec import _random_amplitudes
 
     def reference(rng, n):
+        # the norm is the fixed-order sum of squares of StateVector.norm
         amps = rng.uniform(-1.0, 1.0, 1 << n) + 1j * rng.uniform(-1.0, 1.0, 1 << n)
-        return amps / np.linalg.norm(amps)
+        return amps / new_state(n, amps).norm()
 
     # n=17 and 20 draw each part in several 2**16-float slabs
     for n in (1, 2, 5, 9, 14, 17, 20):
@@ -271,6 +276,26 @@ def test_random_amplitudes_bits_match_the_sum_and_divide_form():
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (n, seed)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, seed)
+
+
+def test_draws_and_norms_do_not_depend_on_the_blas_thread_count():
+    # a BLAS reduction splits its sum across threads; the fixed-order sum does not
+    code = ("import hashlib\n"
+            "from sloccinv import random_state\n"
+            "for n in (14, 18):\n"
+            "    s = random_state(n, 5)\n"
+            "    print(hashlib.sha256(s.amplitudes.tobytes()).hexdigest(), "
+            "s.norm_squared().hex())\n")
+    src = str(Path(statevec.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") == 2
+    assert outs[0] == outs[1]
 
 
 def test_random_state_norm_and_small_n():
