@@ -23,7 +23,7 @@ from .errors import BadArgs, SloccInvError
 DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such vectors
                         # (input, output), a verify trial one; override with --max-n
 VERIFY_GATE = 1e-8
-_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: 379 B enumerate, 834 B --set f
+_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: 241 B, enumerate and --set f alike
 _F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (n >= 8), --force-f or not
 
 
@@ -46,16 +46,20 @@ def _check_n(n: int, max_n: int, floor: int = 1) -> int:
     return n
 
 
-def _check_f_fits(n: int) -> None:
-    """Refuse F work estimated above the budget, before any tuple is built."""
+def _check_f_fits(n: int, evaluate: bool) -> None:
+    """Refuse F work estimated above the budget, before any tuple is built.
+
+    Only evaluation takes --force-f, so only its refusal names the flag.
+    """
     if n >= 63:  # f_enumerate's int64 subscripts reach 2**n - 1; the count has ~1.2n digits
         raise BadArgs(f"F criteria at n={n} need subscripts up to 2^{n} - 1, beyond int64")
     count = criteria._f_count(n)
     need = count * _F_TUPLE_BYTES
     if need > _F_BUDGET:
+        insist = " even with --force-f" if evaluate else ""
         raise BadArgs(f"F criteria at n={n} need {count} tuples, an estimated "
                       f"{-(-need >> 30)} GiB at {_F_TUPLE_BYTES} B each, above the "
-                      f"{_F_BUDGET >> 30} GiB budget even with --force-f")
+                      f"{_F_BUDGET >> 30} GiB budget{insist}")
 
 
 def _load(path: str, max_n: int) -> statevec.StateVector:
@@ -87,7 +91,9 @@ def cmd_make(args) -> int:
 
 
 _ROWS = "@rows@"  # a document's one long list, until _dumps spells it out row by row
+_WRITE_ROWS = 4096  # list entries per stdout write of _dumps
 _F_ROW = {"subscripts": ["%s"] * 8, "value": ["%s"] * 2, "vanishing": "%s"}
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)  # a flag's "%s" spelling, by index
 
 
 def _pair(value):
@@ -95,29 +101,36 @@ def _pair(value):
     return [value.real, value.imag] if isinstance(value, complex) else value
 
 
-def _dumps(doc: dict, row=None, columns=None) -> str:
-    """json.dumps(doc, indent=2), with the _ROWS value in doc spelled out as a list.
+def _dumps(doc: dict, row=None, columns=None) -> None:
+    """Write json.dumps(doc, indent=2) and a newline to stdout, with the _ROWS
+    value in doc spelled out as a list.
 
     Each list entry is `row`, a JSON template with "%s" leaves, filled from
-    one line of the columns that columns() returns.  columns() runs only
-    after doc is encoded, so the column lists are freed before the final
-    string is built.
+    one line of the equal-length 1-D arrays that columns() returns.
+    columns() runs, and raises any error, after doc is encoded and before
+    the first byte is written.  The list goes out in blocks of _WRITE_ROWS
+    entries, each converted to Python values only when written, so neither
+    the report nor its values as Python objects are ever whole in memory.
     """
     text = json.dumps(doc, indent=2)
     at = text.find(json.dumps(_ROWS))
     if at < 0:
-        return text
+        sys.stdout.write(text + "\n")
+        return
     line = text[text.rfind("\n", 0, at) + 1:at]
     indent = " " * (len(line) - len(line.lstrip(" ")))
     entry = textwrap.indent(json.dumps(row, indent=2).replace('"%s"', "%s"), indent + "  ")
-    body = ",\n".join(map(entry.__mod__, zip(*columns())))
-    return f"{text[:at]}[\n{body}\n{indent}]{text[at + len(_ROWS) + 2:]}"
+    cols = columns()
+    sys.stdout.write(text[:at] + "[\n")
+    for lo in range(0, len(cols[0]), _WRITE_ROWS):
+        rows = zip(*(col[lo:lo + _WRITE_ROWS].tolist() for col in cols))
+        sys.stdout.write((",\n" if lo else "") + ",\n".join(map(entry.__mod__, rows)))
+    sys.stdout.write(f"\n{indent}]{text[at + len(_ROWS) + 2:]}\n")
 
 
-def _f_columns(sig: criteria.CriteriaSignature) -> list[list]:
+def _f_columns(sig: criteria.CriteriaSignature) -> list[np.ndarray]:
     """sig's F entries as the columns of _F_ROW; "%s" spells a finite float as json does."""
-    return [*sig.f_tuples.T.tolist(), sig.f.re.tolist(), sig.f.im.tolist(),
-            np.where(sig.f.vanishing, "true", "false").tolist()]
+    return [*sig.f_tuples.T, sig.f.re, sig.f.im, _JSON_BOOLS[sig.f.vanishing.view(np.int8)]]
 
 
 def _signature_doc(sig: criteria.CriteriaSignature) -> dict:
@@ -159,7 +172,7 @@ def cmd_invariant(args) -> int:
         values = {label: _pair(oracle.evaluate(label, s)) for label in oracle.labels_for(s.n)}
         if values:
             doc["oracle"] = values
-    print(_dumps(doc, _F_ROW, lambda: _f_columns(sig)))
+    _dumps(doc, _F_ROW, lambda: _f_columns(sig))
     return 0
 
 
@@ -177,7 +190,7 @@ def cmd_criteria(args) -> int:
         if args.n is None:
             raise BadArgs("criteria enumerate requires --n")
         _check_n(args.n, args.max_n, floor=3)
-        _check_f_fits(args.n)
+        _check_f_fits(args.n, evaluate=False)
         tuples = criteria.f_enumerate(args.n)
         doc = {
             "n": args.n,
@@ -188,14 +201,14 @@ def cmd_criteria(args) -> int:
                      "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] "
                      "are excluded"),
         }
-        print(_dumps(doc, ["%s"] * 8, tuples.T.tolist))
+        _dumps(doc, ["%s"] * 8, lambda: tuples.T)
         return 0
     if args.input is None:
         raise BadArgs("criteria requires --input (or the enumerate action)")
     s = _load(args.input, args.max_n)
     include_f = args.set in ("f", "all")
     if include_f:
-        _check_f_fits(s.n)
+        _check_f_fits(s.n, evaluate=True)
         if s.n > criteria._F_SIGNATURE_MAX_N and not args.force_f:
             raise BadArgs(f"F evaluation at n={s.n} is combinatorially large; "
                           "pass --force-f to insist")
@@ -203,7 +216,7 @@ def cmd_criteria(args) -> int:
     doc = _signature_doc(sig)
     if args.set == "f":
         doc["d_criteria"] = []
-    print(_dumps(doc, _F_ROW, lambda: _f_columns(sig)))
+    _dumps(doc, _F_ROW, lambda: _f_columns(sig))
     return 0
 
 
@@ -211,13 +224,13 @@ def cmd_compare(args) -> int:
     s1 = _load(args.state_a, args.max_n)
     s2 = _load(args.state_b, args.max_n)
     verdict = classify.compare(s1, s2, args.tol)
-    print(_dumps({
+    _dumps({
         "outcome": verdict.outcome,
         "evidence": [{"criterion": e.criterion, "values": list(map(_pair, e.values)),
                       "vanishing": list(e.vanishing)} for e in verdict.evidence],
         "heuristic_flags": list(verdict.heuristic_flags),
         "has_witness": verdict.witness is not None,
-    }))
+    })
     return 2 if verdict.outcome == classify.PROVABLY_INEQUIVALENT else 0
 
 

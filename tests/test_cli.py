@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: files, JSON documents, exit codes."""
 
 import hashlib
+import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 
 from sloccinv import (achieved_pair_sums, complement, criteria, f_enumerate, load_state,
                       random_state, save_state)
+from sloccinv import cli
 from sloccinv.cli import build_parser, main
 
 
@@ -191,10 +196,16 @@ def test_criteria_enumerate(capsys):
         assert out == json.dumps(expected, indent=2) + "\n"
 
 
-def test_criteria_enumerate_refuses_large_n(capsys):
-    code, _, err = run(capsys, "criteria", "enumerate", "--n", "9")
-    assert code == 1
-    assert "force-f" in err
+def test_criteria_enumerate_refuses_large_n(tmp_path, capsys):
+    # enumerate does not take --force-f, so its refusal does not name it
+    code, out, err = run(capsys, "criteria", "enumerate", "--n", "9")
+    assert_one_error_line(code, out, err)
+    assert "force-f" not in err
+    f = tmp_path / "r9.json"
+    save_state(random_state(9, 1), f)
+    code, out, err = run(capsys, "criteria", "--input", str(f), "--set", "f", "--force-f")
+    assert_one_error_line(code, out, err)
+    assert "even with --force-f" in err
 
 
 def test_force_f_refuses_what_cannot_fit_before_enumerating(tmp_path, capsys, monkeypatch):
@@ -522,6 +533,35 @@ def test_huge_declared_n_exits_one(tmp_path, capsys, n):
     f = tmp_path / "huge.json"
     f.write_text(json.dumps({"n": n, "amplitudes": []}))
     assert_one_error_line(*run(capsys, "compare", str(f), str(f)))
+
+
+def test_state_file_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # Python refuses to convert an integer literal of more than 4300 digits
+    f = tmp_path / "digits.json"
+    f.write_text('{"n": %s, "amplitudes": [[1, 0], [0, 0]]}' % ("1" * 5000))
+    assert_one_error_line(*run(capsys, "invariant", "--input", str(f)))
+
+
+def test_reports_are_written_in_row_blocks(tmp_path):
+    # the n=6 criteria report is 15.6 MB; built as one string, writing it peaked at 46 MB
+    sig = criteria.criteria_signature(random_state(6, 1))
+    doc = cli._signature_doc(sig)
+
+    def write():
+        cli._dumps(doc, cli._F_ROW, lambda: cli._f_columns(sig))
+
+    with redirect_stdout(io.StringIO()) as out:
+        write()
+    size = len(out.getvalue())
+    with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert size > 15_000_000
+    assert peak < size / 4, (peak, size)
 
 
 def _readme_cli_lines():

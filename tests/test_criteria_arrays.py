@@ -7,7 +7,9 @@ classes, the JSON document built as plain dicts, and the scalar
 count.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import numpy as np
@@ -31,8 +33,12 @@ from sloccinv.cli import _F_ROW, _dumps, _f_columns, _signature_doc
 
 
 def render(doc, sig):
-    """doc printed as the CLI prints a document holding sig's F entries."""
-    return _dumps(doc, _F_ROW, lambda: _f_columns(sig))
+    """doc printed as the CLI prints a document holding sig's F entries, less the newline."""
+    with redirect_stdout(io.StringIO()) as out:
+        _dumps(doc, _F_ROW, lambda: _f_columns(sig))
+    text = out.getvalue()
+    assert text.endswith("\n")
+    return text[:-1]
 
 
 def lattice_state(n, seed):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from sloccinv import (
     w_state,
 )
 from sloccinv import statevec
-from sloccinv.errors import NormOverflow
+from sloccinv.errors import NormOverflow, SloccInvError
 from sloccinv.slocc import apply_chain, chain_of
 
 SQ2 = math.sqrt(0.5)
@@ -385,6 +386,114 @@ def test_all_zero_state_file_and_zero_vector(tmp_path):
         load_state(path)
     with pytest.raises(AllZero, match="normalize"):
         normalize(statevec._wrap(2, np.zeros(4)))
+
+
+def json_load_state(path):
+    """from_json_dict(json.load(file)): the whole-list parse that load_state replaces."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_constant=statevec._reject_constant)
+        except json.JSONDecodeError as exc:
+            raise ParseError(str(exc)) from None
+    return from_json_dict(doc)
+
+
+def load_outcome(load, path):
+    """(n, amplitude bits) of load(path), or the class of the package error it raised."""
+    try:
+        s = load(path)
+    except SloccInvError as exc:
+        return type(exc)
+    return s.n, s.amplitudes.view(np.uint64).tolist()
+
+
+PAIRS = "[[0.6, -0.0], [0, 0.8]]"
+STATE_TEXT_VARIANTS = [
+    json.dumps(to_json_dict(random_state(2, 3)), indent=2),
+    json.dumps(to_json_dict(random_state(2, 3)), indent="\t", separators=(" ,\r\n", " : ")),
+    '{"amplitudes": %s, "n": 1}' % PAIRS,
+    '{"\\u006e": 1, "\\u0061mplitudes": %s}' % PAIRS,
+    # repeated keys keep the last value, whatever the earlier ones held
+    '{"n": 2, "amplitudes": %s, "n": 1}' % PAIRS,
+    '{"n": 1, "amplitudes": [[1, 0]], "amplitudes": %s}' % PAIRS,
+    '{"n": 1, "amplitudes": %s, "amplitudes": [[1, 0]]}' % PAIRS,
+    '{"n": 1, "amplitudes": [["x", 0], [0, 1]], "amplitudes": %s}' % PAIRS,
+    '{"n": 1, "amplitudes": [[1, 0], 5], "amplitudes": %s}' % PAIRS,
+    '{"n": 1, "amplitudes": [["], [", 0], [0, 1]], "amplitudes": %s}' % PAIRS,
+    '{"n": 1, "amplitudes": [[NaN, 0], [0, 1]], "amplitudes": %s}' % PAIRS,
+    # no list of pairs
+    '{"n": 1, "amplitudes": []}',
+    '{"n": 1, "amplitudes": [ ]}',
+    '{"n": 1, "amplitudes": 5}',
+    '{"n": 1, "amplitudes": [0.6, 0.8]}',
+    '{"n": 1, "amplitudes": {"re": [0.6, 0]}}',
+    '{"n": 1, "amplitudes": "%s"}' % PAIRS,
+    # whitespace that JSON does not allow between or after entries
+    '{"n": 1, "amplitudes": [[0.6, 0], [0, 0.8]\x0c]}',
+    '{"n": 1, "amplitudes": [[0.6, 0]\xa0, [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[0.6, 0], [0, 0.8] ], "x": [[1]]}',
+    '{"n": 1, "amplitudes": [[0.6, 0]\x0b]], "x": [[1]]}',
+    # entries outside the schema
+    '{"n": 1, "amplitudes": [[[0.6], 0], [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[0.6, 0, 1], [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[0.6, 0], [0, 0.8], ]}',
+    '{"n": 1, "amplitudes": [[0.6, 0]; [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[true, 0], [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[1e999, 0], [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[0, 0], [-0.0, 0.0]]}',
+    # not one object
+    PAIRS, "{}", " { } ", "", "\ufeff" + '{"n": 1, "amplitudes": %s}' % PAIRS,
+    '{"n": 1, "amplitudes": %s} x' % PAIRS, '{"n": 1 "amplitudes": %s}' % PAIRS,
+    '{"n" 1}', '{n: 1}', '{"n": 1,}', '{"n": }',
+]
+
+
+def state_texts():
+    """Every prefix and single-character deletion of canonical n=1..3 files, and the variants."""
+    for s in (random_state(1, 7), new_state(2, [-0.0, -1j, 1e-300, 0.1 + 0.2j]),
+              random_state(3, 7)):
+        text = json.dumps(to_json_dict(s)) + "\n"
+        yield text
+        for k in range(len(text)):
+            yield text[:k]
+            yield text[:k] + text[k + 1:]
+    yield from STATE_TEXT_VARIANTS
+
+
+@pytest.mark.parametrize("slab", [1, 16, 100, None])
+def test_load_state_is_the_whole_list_parse(tmp_path, monkeypatch, slab):
+    # with slabs of 1 and 16 characters a cut follows every entry
+    if slab is not None:
+        monkeypatch.setattr(statevec, "_LOAD_SLAB", slab)
+    path = tmp_path / "s.json"
+    outcomes = set()
+    for text in state_texts():
+        path.write_bytes(text.encode())
+        want = load_outcome(json_load_state, path)
+        assert load_outcome(load_state, path) == want, text
+        outcomes.add(want if isinstance(want, type) else "state")
+    assert outcomes == {ParseError, AllZero, "state"}
+    # the n=15 file holds a save_state slab separator
+    save_state(random_state(15, 3), path)
+    assert load_outcome(load_state, path) == load_outcome(json_load_state, path)
+
+
+def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
+    # json.load built 2**16 two-float lists before converting any: its peak
+    # was 12.05 MiB for this 3.01 MiB file, text plus 9 vectors.  Reading
+    # the text holds its bytes and its str at once, twice the text; the
+    # slab parse stays below that.
+    path = tmp_path / "r16.json"
+    save_state(random_state(16, 1), path)
+    size, vector = path.stat().st_size, 16 << 16
+    load_state(path)
+    tracemalloc.start()
+    try:
+        load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size + vector, (peak - size) / vector
 
 
 @pytest.mark.parametrize("amplitudes, k", [
