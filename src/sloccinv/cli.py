@@ -23,7 +23,7 @@ from .errors import BadArgs, SloccInvError
 DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such vectors
                         # (input, output), a verify trial one; override with --max-n
 VERIFY_GATE = 1e-8
-_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: 241 B, enumerate and --set f alike
+_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: enumerate 112 B, --set f 176 B
 _F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (n >= 8), --force-f or not
 
 
@@ -361,8 +361,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SloccInvError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SloccInvError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

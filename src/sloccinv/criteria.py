@@ -7,18 +7,20 @@ values each.
 The F-criteria are indexed by four basis-index pairs sharing one sum
 and one XOR: i<j, k<l, p<q, r<s, i<k<p<r, i+j=k+l=p+q=r+s and
 i^j = k^l = p^q = r^s.  The evaluated expression shifts half the
-subscripts by 1 (odd sums) or 2 (even sums); tuples whose shifted
-subscripts leave [0, 2**n - 1] are excluded from enumeration.  The pair
-count per (sum, xor) class is a power of two, so the tuple count grows
-roughly like 2**(4n).  The CLI refuses F work that `_f_count`, the
-closed-form row count, puts above its memory budget (every n >= 8),
-with or without --force-f, which only unlocks evaluation at n = 7.
+subscripts by d = 1 (odd sums) or 2 (even sums), never out of [0, 2**n - 1]:
+equal sums give j > l > q > s, so q >= 1 and l <= 2**n - 2, and an even sum
+has an even XOR, so the partners share bit 0 and q >= 2, l <= 2**n - 3.
+The pair count per (sum, xor) class is a power of two, so the tuple count
+grows roughly like 2**(4n).  The CLI refuses F work that `_f_count`, the
+exact row count, puts above its memory budget (every n >= 8), with or
+without --force-f, which only unlocks evaluation at n = 7.
 
 Array form.  Results exist only as arrays: `criteria_signature` holds
 the D and F values as float64 (re, im) arrays with their magnitudes and
 vanishing masks.  A pair u < v is fixed by its class (A, X) =
-(u & v, u ^ v) and a split of X's bits, so `f_enumerate` generates the
-F tuples class by class into one cached, read-only (m, 8) int64 array.
+(u & v, u ^ v) and a split of X's bits, so `f_enumerate` writes the F
+tuples class by class into one array of exactly `_f_count(n)` rows,
+sorts it stably on (i+j, i) and caches it read-only.
 D values come from the (blocks, 8) views of the front half and the
 mirrored back half, F values from one gather per subscript column.
 Every complex operation is spelled out on float64 real and imaginary
@@ -99,46 +101,43 @@ def _submasks(mask: int, size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _quads(count: int) -> np.ndarray:
-    """Every 4-subset of range(count), one ascending row each, in lexicographic order."""
-    flat = chain.from_iterable(combinations(range(count), 4))
-    return np.fromiter(flat, dtype=np.int64).reshape(-1, 4)
-
-
-@lru_cache(maxsize=None)
 def f_enumerate(n: int) -> np.ndarray:
-    """All admissible subscript tuples as one cached, read-only (m, 8) int64
+    """All subscript tuples as one cached, read-only (_f_count(n), 8) int64
     array, a row (i, j, k, l, p, q, r, s) each, ordered by (i+j, i, k, p, r).
 
     The class (A, X) = (u & v, u ^ v) has sum 2A + X and XOR X; its pairs
     are u = A | S, v = u ^ X for the subsets S of X without X's top bit,
     2**(popcount(X) - 1) of them in ascending u.  Classes with fewer than
-    four pairs give no tuple.
+    four pairs give no tuple.  A class is written in (i, k, p, r) order and
+    (i+j, i) fixes the class, so a stable sort on (i+j, i) orders the rows.
     """
     if n < 3:
         raise TooFewQubits(f"F-criteria need n >= 3, got {n}")
     size = 1 << n
-    parts = []
+    t = np.empty((_f_count(n), 8), dtype=np.int64)
+    row = 0
     for x in range(size):
         if bin(x).count("1") < 3:
             continue
-        splits = _submasks(x ^ (1 << (x.bit_length() - 1)), size)
-        firsts = (_submasks(~x & (size - 1), size)[:, None, None]
-                  | splits[_quads(splits.size)]).reshape(-1, 4)
-        t = np.empty((firsts.shape[0], 8), dtype=np.int64)
-        t[:, 0::2] = firsts
-        t[:, 1::2] = firsts ^ x
-        parts.append(t)
-    t = np.concatenate(parts)
-    d = 2 - (t[:, 0] + t[:, 1]) % 2
-    t = t[(t[:, 1] >= d) & (t[:, 5] >= d) & (t[:, 3] + d < size) & (t[:, 7] + d < size)]
-    t = t[np.lexsort((t[:, 6], t[:, 4], t[:, 2], t[:, 0], t[:, 0] + t[:, 1]))]
+        splits = _submasks(x ^ (1 << (x.bit_length() - 1)), size).tolist()
+        quads = np.fromiter(chain.from_iterable(combinations(splits, 4)), np.int64,
+                            count=4 * comb(len(splits), 4)).reshape(-1, 4)
+        for a in _submasks(~x & (size - 1), size).tolist():
+            block = t[row:row + len(quads)]  # too few rows fail to broadcast
+            np.bitwise_or(quads, a, out=block[:, 0::2])
+            np.bitwise_xor(block[:, 0::2], x, out=block[:, 1::2])
+            row += len(quads)
+    if row != len(t):
+        raise RuntimeError(f"F enumeration at n={n} wrote {row} of {len(t)} rows")
+    order = np.lexsort((t[:, 0], t[:, 0] + t[:, 1]))
+    for col in range(8):
+        t[:, col] = t[order, col]
     t.setflags(write=False)
     return t
 
 
 def _f_count(n: int) -> int:
-    """Rows f_enumerate(n) builds before its exclusion filter, in O(n) arithmetic.
+    """The number of rows of f_enumerate(n), in O(n) arithmetic.
 
     The 2**(n - p) classes of each XOR x of popcount p have 2**(p - 1)
     pairs each, so sum over p of C(n, p) * 2**(n - p) * C(2**(p - 1), 4).

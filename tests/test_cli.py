@@ -535,6 +535,27 @@ def test_huge_declared_n_exits_one(tmp_path, capsys, n):
     assert_one_error_line(*run(capsys, "compare", str(f), str(f)))
 
 
+@pytest.mark.parametrize("module, name, argv", [
+    ("statevec", "ghz", ["make", "ghz", "--n", "40", "--max-n", "40"]),
+    ("signtab", "sign_table", ["signs", "--n", "40", "--max-n", "40"]),
+    ("slocc", "verify_theorem1",
+     ["verify", "--theorem", "1", "--n", "40", "--max-n", "40", "--trials", "1"]),
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 16.0 TiB", ""])
+def test_allocation_failure_exits_one(tmp_path, capsys, monkeypatch, module, name, argv,
+                                      message):
+    # a real 2**40 allocation may succeed lazily on an overcommitting host
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(getattr(cli, module), name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {message or 'MemoryError'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_state_file_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
     # Python refuses to convert an integer literal of more than 4300 digits
     f = tmp_path / "digits.json"

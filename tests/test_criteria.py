@@ -1,6 +1,8 @@
 """D-criteria blocks and the F-criteria subscript family."""
 
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sloccinv import (
     new_state,
     w_state,
 )
+from sloccinv import criteria
 from sloccinv.criteria import _d_values, _f_count
 
 RNG = np.random.default_rng(271828)
@@ -138,11 +141,53 @@ def test_f_sum_set_n4():
 
 
 def test_f_count_is_the_enumerated_row_count():
-    # the closed form counts rows before the exclusion filter; it removes none up to n=7
+    # the closed form counts every row f_enumerate writes; no shifted subscript leaves the range
     counts = [1, 78, 2560, 62160, 1311856]
     assert [_f_count(n) for n in range(3, 8)] == counts
     assert [f_enumerate(n).shape[0] for n in range(3, 8)] == counts
     assert (_f_count(8), _f_count(9)) == (25757088, 486432640)
+
+
+def test_shifted_subscripts_stay_in_range_past_enumeration():
+    # In a class of four or more pairs u < v, every tuple's q is at least the
+    # second-smallest v and its l at most the second-largest, and j > q, s < l.
+    # So no shifted subscript leaves [0, 2**n - 1] if those two v are d inside.
+    for n in range(3, 13):
+        size = 1 << n
+        u = np.arange(size)
+        classes = 0
+        for x in range(1, size):
+            v = u ^ x
+            keep = u < v
+            a, v = (u & v)[keep], v[keep]
+            order = np.lexsort((v, a))
+            a, v = a[order], v[order]
+            _, starts, counts = np.unique(a, return_index=True, return_counts=True)
+            big = counts >= 4
+            first, last = starts[big], starts[big] + counts[big] - 1
+            d = 1 if x % 2 else 2  # the parity of i + j = 2A + x
+            assert (v[first + 1] >= d).all() and (v[last - 1] + d < size).all(), (n, x)
+            classes += big.sum()
+        assert classes == sum(comb(n, p) * 2 ** (n - p) for p in range(3, n + 1)), n
+
+
+def test_f_enumerate_peaks_below_three_results():
+    # the result is 64 B per tuple; built through temporaries, a filter and a
+    # five-key sort, it peaked at 240 B per tuple
+    tracemalloc.start()
+    try:
+        tuples = f_enumerate.__wrapped__(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * len(tuples), peak / len(tuples)
+
+
+@pytest.mark.parametrize("shift, match", [(-1, "broadcast"), (1, "wrote")])
+def test_f_enumerate_raises_on_a_wrong_row_count(monkeypatch, shift, match):
+    monkeypatch.setattr(criteria, "_f_count", lambda n: _f_count(n) + shift)
+    with pytest.raises((ValueError, RuntimeError), match=match):
+        f_enumerate.__wrapped__(4)
 
 
 def test_f_enumerate_too_few_qubits():
