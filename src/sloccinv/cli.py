@@ -284,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "finite and positive"),
                      help="vanishing tolerance, finite and positive (default 1e-10)")
     seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    seed.add_argument("--seed", default=0,
+                      type=_checked(int, lambda t: t >= 0, "non-negative"),
+                      help="RNG seed, non-negative (default 0)")
 
     parser = _Parser(prog="sloccinv",
                      description="SLOCC invariants and residual "

@@ -195,34 +195,10 @@ def _complex_pairs(entries: list, what: str) -> np.ndarray:
     return pairs[:, 0] + 1j * pairs[:, 1]
 
 
-class _Entries:
-    """An amplitude list taken slab by slab: its entry count, and its complex
-    values or the first ParseError an entry raised, kept until the count has
-    been checked, as for a whole list."""
-
-    def __init__(self):
-        self.count, self._parts, self._error = 0, [], None
-
-    def add(self, entries: list) -> _Entries:
-        self.count += len(entries)
-        if self._error is None:
-            try:
-                self._parts.append(_complex_pairs(entries, "amplitude"))
-            except ParseError as exc:
-                self._error, self._parts = exc, []
-        return self
-
-    def values(self) -> np.ndarray:
-        if self._error is not None:
-            raise self._error
-        return np.concatenate(self._parts)
-
-
 def from_json_dict(doc) -> StateVector:
     """Validate and build a state from the JSON schema.
 
     Amplitude parts must be numbers: NaN/Inf, booleans and strings are rejected.
-    The amplitude list may also be _Entries, as load_state passes it.
     """
     if not isinstance(doc, dict) or "n" not in doc or "amplitudes" not in doc:
         raise ParseError('state JSON must be {"n": ..., "amplitudes": [[re, im], ...]}')
@@ -230,110 +206,76 @@ def from_json_dict(doc) -> StateVector:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     entries = doc["amplitudes"]
-    if isinstance(entries, list):
-        entries = _Entries().add(entries)
-    if not isinstance(entries, _Entries) or not _is_2_pow(entries.count, n):
+    if not isinstance(entries, list) or not _is_2_pow(len(entries), n):
         raise ParseError(f"expected 2**{n} amplitude entries for n={n}")
-    amps = entries.values()
+    amps = _complex_pairs(entries, "amplitude")
     if not np.any(amps):
         raise AllZero("state vector has no nonzero amplitude")
     return _wrap(n, amps)
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _LOADS = partial(json.loads, parse_constant=_reject_constant)  # whole text, BOM check included
 _WS = json.decoder.WHITESPACE.match  # JSON whitespace, [ \t\n\r]*
-_LIST_END = re.compile(r"\][ \t\n\r]*\]")  # an entry's "]", then the list's (\s would take "\f")
 _LOAD_SLAB = 1 << 18  # characters of the amplitude list per decode call of load_state
 
-
-def _value_at(text: str, at: int):
-    """The JSON value at text[at] and the index after it, by json's C scanner."""
-    try:
-        return _DECODER.scan_once(text, at)
-    except StopIteration as stop:
-        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+# save_state's layout: _HEAD % n, the [re, im] pairs joined by ", ", _TAIL and "\n"
+_HEAD, _TAIL = '{"n": %d, "amplitudes": [', "]}"
+_SAVED_HEAD = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]?)"))
 
 
-def _entries_at(text: str, at: int):
-    """_value_at(text, at), with a list of lists decoded slab by slab into _Entries.
+def _saved_state(text: str):
+    """The state of a text in save_state's layout, decoded in slabs; else json.loads(text).
 
-    Each slab ends just after a "]" and must be followed by ",".  When every
-    slab decodes, the list is exactly the slabs' entries in order; when one
-    does not (a cut inside an entry or a string), the list is scanned whole,
-    which gives json's own value or error.
+    The pair list is cut just after a "]" every _LOAD_SLAB characters or
+    so; each cut must be followed by ",".  Each slab is decoded and turned
+    into complex values before the next.  When every slab decodes to
+    number pairs, the list is exactly their entries, so the state is that
+    of the whole-list parse.  Any other text, or a slab, count or all-zero
+    check that fails, goes to json.loads, for from_json_dict to decide.
     """
-    end = _LIST_END.search(text, at)
-    if not (end and text.startswith("[", at) and text.startswith("[", _WS(text, at + 1).end())):
-        return _value_at(text, at)
-    entries, lo, stop = _Entries(), at + 1, end.start() + 1
-    while lo < stop:
-        hi = text.find("]", min(lo + _LOAD_SLAB, stop) - 1, stop) + 1
-        comma = _WS(text, hi).end()
-        if hi < stop and not text.startswith(",", comma):
-            return _value_at(text, at)
-        try:
-            entries.add(_DECODER.decode(f"[{text[lo:hi]}]"))
-        except json.JSONDecodeError:
-            return _value_at(text, at)
-        lo = comma + 1
-    return entries, end.end()
-
-
-def _state_document(text: str):
-    """json.loads(text), with the "amplitudes" value taken by _entries_at.
-
-    The top-level object is walked member by member, each key and every
-    other value read by the C scanner; a repeated key keeps its last value,
-    as in json.loads.  Text that is not an object is decoded whole.
-    """
-    at = _WS(text, 0).end()
-    if not text.startswith("{", at):
-        return _LOADS(text)
-    doc, at = {}, _WS(text, at + 1).end()
-    if not text.startswith("}", at):
-        while True:
-            if not text.startswith('"', at):
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, at)
-            key, at = _value_at(text, at)
-            at = _WS(text, at).end()
-            if not text.startswith(":", at):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, at)
-            at = _WS(text, at + 1).end()
-            doc[key], at = (_entries_at if key == "amplitudes" else _value_at)(text, at)
-            at = _WS(text, at).end()
-            if text.startswith("}", at):
+    head, stop = _SAVED_HEAD.match(text), text.rfind("]" + _TAIL) + 1
+    if head and stop > head.end() and _WS(text, stop + len(_TAIL)).end() == len(text):
+        parts, lo = [], head.end()
+        while lo < stop:
+            hi = text.find("]", min(lo + _LOAD_SLAB, stop) - 1, stop) + 1
+            comma = _WS(text, hi).end()
+            if hi < stop and not text.startswith(",", comma):
                 break
-            if not text.startswith(",", at):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
-            at = _WS(text, at + 1).end()
-    end = _WS(text, at + 1).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return doc
+            try:
+                parts.append(_complex_pairs(json.loads(f"[{text[lo:hi]}]"), "amplitude"))
+            except (ValueError, RecursionError):  # no pairs, or a cut inside an entry or a string
+                break
+            lo = comma + 1
+        else:
+            amps, n = np.concatenate(parts), int(head[1])
+            if _is_2_pow(amps.size, n) and np.any(amps):
+                return _wrap(n, amps)
+    return _LOADS(text)
 
 
 def _read_json(path, decode=_LOADS):
-    """decode(text) of a UTF-8 file; malformed JSON and NaN/Infinity tokens raise ParseError."""
+    """decode(text) of a UTF-8 file; malformed or too deeply nested JSON and
+    NaN/Infinity tokens raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return decode(fh.read())
-        except ValueError as exc:  # bad JSON, UTF-8 or token, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int past the digit limit
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_state(path) -> StateVector:
-    """from_json_dict(json.load(file)), with one slab of the amplitude list alive at a time.
+    """from_json_dict(json.load(file)), with one slab of save_state's pair list alive at a time.
 
-    The text is read once.  Each slab of about _LOAD_SLAB characters is
-    decoded and turned into complex values before the next, where json.load
-    would build 2**n two-float lists first (about 130 bytes per amplitude).
-    The peak is twice the text while it is read (its bytes and its str),
-    then the text plus two vectors.  Values and error classes are those of
-    from_json_dict(json.load(file)).
+    The text is read once.  A file in save_state's layout is decoded in
+    slabs of about _LOAD_SLAB characters, each turned into complex values
+    before the next, where json.load would build 2**n two-float lists first
+    (about 130 bytes per amplitude): the peak is twice the text while it is
+    read (its bytes and its str), then the text plus two vectors.  A file in
+    any other layout is parsed whole.  Values and errors, messages included,
+    are those of from_json_dict(json.load(file)).
     """
-    return from_json_dict(_read_json(path, _state_document))
+    doc = _read_json(path, _saved_state)
+    return doc if isinstance(doc, StateVector) else from_json_dict(doc)
 
 
 _SAVE_SLAB = 1 << 14  # amplitudes per json.dumps call of save_state
@@ -350,12 +292,11 @@ def save_state(s: StateVector, path) -> None:
         raise NormOverflow(f"{path}: amplitudes out of the float range; not written")
     if not np.any(s.amplitudes):
         raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
-    head, tail = json.dumps({"n": s.n, "amplitudes": [None]}).split("null")
     pairs = np.column_stack([s.amplitudes.real, s.amplitudes.imag])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
+        fh.write(_HEAD % s.n)
         for start in range(0, len(pairs), _SAVE_SLAB):
             if start:
                 fh.write(", ")
             fh.write(json.dumps(pairs[start:start + _SAVE_SLAB].tolist())[1:-1])
-        fh.write(tail + "\n")
+        fh.write(_TAIL + "\n")

@@ -563,6 +563,33 @@ def test_state_file_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
     assert_one_error_line(*run(capsys, "invariant", "--input", str(f)))
 
 
+@pytest.mark.parametrize("argv", [
+    ["make", "random", "--n", "3", "--seed", "-1"],
+    ["verify", "--theorem", "1", "--n", "4", "--trials", "1", "--seed", "-1"],
+])
+def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, argv):
+    # numpy's generators take only non-negative seeds
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: argument --seed:"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_deeply_nested_json_exits_one(tmp_path, capsys):
+    # json's C decoder raises RecursionError, not ValueError, past the recursion limit
+    g2, ops, dst = tmp_path / "g2.json", tmp_path / "deep.json", tmp_path / "out.json"
+    run(capsys, "make", "ghz", "--n", "2", "-o", str(g2))
+    ops.write_text("[" * 200_000)
+    saved = tmp_path / "saved.json"  # save_state's head and tail around the nesting
+    saved.write_text('{"n": 1, "amplitudes": [' + "[" * 200_000 + "]" * 200_001 + "}\n")
+    for deep in (ops, saved):
+        assert_one_error_line(*run(capsys, "compare", str(deep), str(deep)))
+    assert_one_error_line(*run(capsys, "apply", "--input", str(g2), "--ops", str(ops),
+                               "--output", str(dst)))
+    assert not dst.exists()
+
+
 def test_reports_are_written_in_row_blocks(tmp_path):
     # the n=6 criteria report is 15.6 MB; built as one string, writing it peaked at 46 MB
     sig = criteria.criteria_signature(random_state(6, 1))

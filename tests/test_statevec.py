@@ -389,21 +389,23 @@ def test_all_zero_state_file_and_zero_vector(tmp_path):
 
 
 def json_load_state(path):
-    """from_json_dict(json.load(file)): the whole-list parse that load_state replaces."""
+    """from_json_dict(json.load(file)): the whole-list parse that load_state replaces,
+    with a decode error in load_state's "<path>: invalid JSON: ..." form."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=statevec._reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc)) from None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
     return from_json_dict(doc)
 
 
 def load_outcome(load, path):
-    """(n, amplitude bits) of load(path), or the class of the package error it raised."""
+    """(n, amplitude bits) of load(path), or the class and message of the package error
+    it raised."""
     try:
         s = load(path)
     except SloccInvError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return s.n, s.amplitudes.view(np.uint64).tolist()
 
 
@@ -439,8 +441,15 @@ STATE_TEXT_VARIANTS = [
     '{"n": 1, "amplitudes": [[0.6, 0], [0, 0.8], ]}',
     '{"n": 1, "amplitudes": [[0.6, 0]; [0, 0.8]]}',
     '{"n": 1, "amplitudes": [[true, 0], [0, 0.8]]}',
+    '{"n": 1, "amplitudes": [[true, 0], ["x", 0]]}',
     '{"n": 1, "amplitudes": [[1e999, 0], [0, 0.8]]}',
     '{"n": 1, "amplitudes": [[0, 0], [-0.0, 0.0]]}',
+    # save_state's head and tail around a count or an n outside the schema
+    '{"n": 2, "amplitudes": %s}' % PAIRS,
+    '{"n": 0, "amplitudes": [[1, 0]]}',
+    '{"n": 01, "amplitudes": %s}' % PAIRS,
+    '{"n": 100, "amplitudes": %s}' % PAIRS,
+    '{"n": 1, "amplitudes": %s}\x0c' % PAIRS,
     # not one object
     PAIRS, "{}", " { } ", "", "\ufeff" + '{"n": 1, "amplitudes": %s}' % PAIRS,
     '{"n": 1, "amplitudes": %s} x' % PAIRS, '{"n": 1 "amplitudes": %s}' % PAIRS,
@@ -471,7 +480,7 @@ def test_load_state_is_the_whole_list_parse(tmp_path, monkeypatch, slab):
         path.write_bytes(text.encode())
         want = load_outcome(json_load_state, path)
         assert load_outcome(load_state, path) == want, text
-        outcomes.add(want if isinstance(want, type) else "state")
+        outcomes.add(want[0] if isinstance(want[0], type) else "state")
     assert outcomes == {ParseError, AllZero, "state"}
     # the n=15 file holds a save_state slab separator
     save_state(random_state(15, 3), path)
