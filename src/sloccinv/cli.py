@@ -24,7 +24,7 @@ DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such
                         # (input, output), a verify trial one; override with --max-n
 VERIFY_GATE = 1e-8
 _F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: enumerate 112 B, --set f 176 B
-_F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (n >= 8), --force-f or not
+_F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (every n >= 8)
 
 
 def _checked(kind, accept, rule: str):
@@ -46,20 +46,23 @@ def _check_n(n: int, max_n: int, floor: int = 1) -> int:
     return n
 
 
-def _check_f_fits(n: int, evaluate: bool) -> None:
-    """Refuse F work estimated above the budget, before any tuple is built.
+def _check_vector_n(n: int, max_n: int, floor: int = 1) -> int:
+    """_check_n, then refuse n >= 59: numpy allocates no array above 2**63 - 1 bytes."""
+    if 16 << _check_n(n, max_n, floor) > sys.maxsize:
+        raise BadArgs(f"n={n} needs 2^{n} amplitudes of 16 B, above numpy's array size limit")
+    return n
 
-    Only evaluation takes --force-f, so only its refusal names the flag.
-    """
+
+def _check_f_fits(n: int) -> None:
+    """Refuse F work estimated above the budget, before any tuple is built."""
     if n >= 63:  # f_enumerate's int64 subscripts reach 2**n - 1; the count has ~1.2n digits
         raise BadArgs(f"F criteria at n={n} need subscripts up to 2^{n} - 1, beyond int64")
     count = criteria._f_count(n)
     need = count * _F_TUPLE_BYTES
     if need > _F_BUDGET:
-        insist = " even with --force-f" if evaluate else ""
         raise BadArgs(f"F criteria at n={n} need {count} tuples, an estimated "
                       f"{-(-need >> 30)} GiB at {_F_TUPLE_BYTES} B each, above the "
-                      f"{_F_BUDGET >> 30} GiB budget{insist}")
+                      f"{_F_BUDGET >> 30} GiB budget")
 
 
 def _load(path: str, max_n: int) -> statevec.StateVector:
@@ -82,7 +85,7 @@ def _make_complement(args):
 
 def cmd_make(args) -> int:
     if "n" in args:  # ghz, w and random: check the cap before allocating 2**n
-        _check_n(args.n, args.max_n)
+        _check_vector_n(args.n, args.max_n)
     s, default = args.build(args)
     path = args.output or default
     statevec.save_state(s, path)
@@ -178,8 +181,8 @@ def cmd_invariant(args) -> int:
 
 def cmd_criteria(args) -> int:
     if args.action == "enumerate":
-        given = {"--input": args.input is not None, "--set": args.set != "all",
-                 "--tol": args.tol != invariant.DEFAULT_TOL, "--force-f": args.force_f}
+        given = {"--input": args.input is not None, "--set": args.set is not None,
+                 "--tol": args.tol != invariant.DEFAULT_TOL}
         reads = "criteria enumerate reads only --n and --max-n"
     else:
         given, reads = {"--n": args.n is not None}, "only criteria enumerate reads --n"
@@ -190,7 +193,7 @@ def cmd_criteria(args) -> int:
         if args.n is None:
             raise BadArgs("criteria enumerate requires --n")
         _check_n(args.n, args.max_n, floor=3)
-        _check_f_fits(args.n, evaluate=False)
+        _check_f_fits(args.n)
         tuples = criteria.f_enumerate(args.n)
         doc = {
             "n": args.n,
@@ -206,12 +209,9 @@ def cmd_criteria(args) -> int:
     if args.input is None:
         raise BadArgs("criteria requires --input (or the enumerate action)")
     s = _load(args.input, args.max_n)
-    include_f = args.set in ("f", "all")
+    include_f = None if args.set is None else args.set in ("f", "all")
     if include_f:
-        _check_f_fits(s.n, evaluate=True)
-        if s.n > criteria._F_SIGNATURE_MAX_N and not args.force_f:
-            raise BadArgs(f"F evaluation at n={s.n} is combinatorially large; "
-                          "pass --force-f to insist")
+        _check_f_fits(s.n)
     sig = criteria.criteria_signature(s, args.tol, include_f=include_f)
     doc = _signature_doc(sig)
     if args.set == "f":
@@ -249,7 +249,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_n(args.n, args.max_n, floor=2)
+    _check_vector_n(args.n, args.max_n, floor=2)
     if args.theorem == 1:
         err = slocc.verify_theorem1(args.n, args.trials, args.seed)
     else:
@@ -323,10 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("action", nargs="?", choices=["enumerate"])
     p_crit.add_argument("--input", default=None)
     p_crit.add_argument("--n", type=int, default=None)
-    p_crit.add_argument("--set", choices=["d", "f", "all"], default="all")
-    p_crit.add_argument("--force-f", action="store_true",
-                        help="allow F evaluation at n=7; F work above the memory "
-                             "budget (n >= 8) is refused even so")
+    p_crit.add_argument("--set", choices=["d", "f", "all"],
+                        help="criteria to evaluate (default: all for n <= 6, d above)")
     p_crit.set_defaults(func=cmd_criteria)
 
     p_cmp = sub.add_parser("compare", parents=[max_n, tol],

@@ -12,8 +12,8 @@ equal sums give j > l > q > s, so q >= 1 and l <= 2**n - 2, and an even sum
 has an even XOR, so the partners share bit 0 and q >= 2, l <= 2**n - 3.
 The pair count per (sum, xor) class is a power of two, so the tuple count
 grows roughly like 2**(4n).  The CLI refuses F work that `_f_count`, the
-exact row count, puts above its memory budget (every n >= 8), with or
-without --force-f, which only unlocks evaluation at n = 7.
+exact row count, puts above its memory budget (every n >= 8); at n = 7
+it evaluates F only when `--set f|all` asks for it.
 
 Array form.  Results exist only as arrays: `criteria_signature` holds
 the D and F values as float64 (re, im) arrays with their magnitudes and

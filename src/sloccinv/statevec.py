@@ -165,8 +165,7 @@ def random_state(n: int, seed: int) -> StateVector:
 
 def to_json_dict(s: StateVector) -> dict:
     """{"n": ..., "amplitudes": [[re, im], ...]} with exactly 2**n entries."""
-    pairs = np.column_stack([s.amplitudes.real, s.amplitudes.imag]).tolist()
-    return {"n": s.n, "amplitudes": pairs}
+    return {"n": s.n, "amplitudes": s.amplitudes.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def _reject_constant(token: str):
@@ -292,7 +291,7 @@ def save_state(s: StateVector, path) -> None:
         raise NormOverflow(f"{path}: amplitudes out of the float range; not written")
     if not np.any(s.amplitudes):
         raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
-    pairs = np.column_stack([s.amplitudes.real, s.amplitudes.imag])
+    pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # [re, im] rows, no copy
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEAD % s.n)
         for start in range(0, len(pairs), _SAVE_SLAB):

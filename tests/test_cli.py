@@ -197,18 +197,17 @@ def test_criteria_enumerate(capsys):
 
 
 def test_criteria_enumerate_refuses_large_n(tmp_path, capsys):
-    # enumerate does not take --force-f, so its refusal does not name it
     code, out, err = run(capsys, "criteria", "enumerate", "--n", "9")
     assert_one_error_line(code, out, err)
-    assert "force-f" not in err
+    assert err.endswith("above the 4 GiB budget\n") and "force-f" not in err
     f = tmp_path / "r9.json"
     save_state(random_state(9, 1), f)
-    code, out, err = run(capsys, "criteria", "--input", str(f), "--set", "f", "--force-f")
+    code, out, err = run(capsys, "criteria", "--input", str(f), "--set", "f")
     assert_one_error_line(code, out, err)
-    assert "even with --force-f" in err
+    assert err.endswith("above the 4 GiB budget\n") and "force-f" not in err
 
 
-def test_force_f_refuses_what_cannot_fit_before_enumerating(tmp_path, capsys, monkeypatch):
+def test_f_sets_that_cannot_fit_are_refused_before_enumerating(tmp_path, capsys, monkeypatch):
     def never(n):
         raise AssertionError("f_enumerate must not be called")
 
@@ -216,35 +215,36 @@ def test_force_f_refuses_what_cannot_fit_before_enumerating(tmp_path, capsys, mo
     f = tmp_path / "r9.json"
     save_state(random_state(9, 1), f)
     for argv in (["criteria", "enumerate", "--n", "9"],
-                 ["criteria", "--input", str(f), "--force-f"],
-                 ["criteria", "--input", str(f), "--set", "f", "--force-f"]):
+                 ["criteria", "--input", str(f), "--set", "all"],
+                 ["criteria", "--input", str(f), "--set", "f"]):
         code, out, err = run(capsys, *argv)
         assert_one_error_line(code, out, err)
         assert "n=9 need 486432640 tuples" in err and "GiB" in err
     code, out, err = run(capsys, "criteria", "enumerate", "--n", "5000", "--max-n", "5000")
     assert_one_error_line(code, out, err)
     assert "beyond int64" in err
-    code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "d", "--force-f")
+    code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "d")
     assert code == 0 and json.loads(out)["f_included"] is False
 
 
-def test_f_work_that_cannot_fit_is_refused_without_force_f(tmp_path, capsys, monkeypatch):
-    # the budget line comes first: --force-f would not make n=8 fit
+def test_f_work_that_cannot_fit_is_refused_only_when_asked_for(tmp_path, capsys, monkeypatch):
+    # f_enumerate raises if called, so no tuple is built on any path
     def never(n):
         raise AssertionError("f_enumerate must not be called")
 
     monkeypatch.setattr(criteria, "f_enumerate", never)
     f = tmp_path / "r8.json"
     save_state(random_state(8, 1), f)
-    for argv in (["--set", "f"], []):
+    for argv in (["--set", "f"], ["--set", "all"]):
         code, out, err = run(capsys, "criteria", "--input", str(f), *argv)
         assert_one_error_line(code, out, err)
         assert "n=8 need 25757088 tuples" in err and "4 GiB budget" in err
+    code, out, _ = run(capsys, "criteria", "--input", str(f))
+    assert code == 0 and json.loads(out)["f_included"] is False
 
 
 def test_criteria_enumerate_accepts_explicit_defaults(capsys):
-    code, out, _ = run(capsys, "criteria", "enumerate", "--n", "3", "--set", "all",
-                       "--tol", "1e-10")
+    code, out, _ = run(capsys, "criteria", "enumerate", "--n", "3", "--tol", "1e-10")
     assert code == 0
     assert out == run(capsys, "criteria", "enumerate", "--n", "3")[1]
 
@@ -273,15 +273,26 @@ def test_criteria_needs_an_input(capsys):
     assert "requires --input" in err
 
 
-def test_criteria_refuses_f_evaluation_at_n7_without_force_f(tmp_path, capsys):
+def test_criteria_at_n7_evaluates_f_only_when_asked_for(tmp_path, capsys, monkeypatch):
     f = tmp_path / "r7.json"
     run(capsys, "make", "random", "--n", "7", "-o", str(f))
-    for argv in ([], ["--set", "f"]):
-        code, out, err = run(capsys, "criteria", "--input", str(f), *argv)
-        assert_one_error_line(code, out, err)
-        assert "force-f" in err
-    code, out, _ = run(capsys, "criteria", "--input", str(f), "--set", "d")
-    assert code == 0 and json.loads(out)["f_included"] is False
+    code, out, _ = run(capsys, "criteria", "--input", str(f))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["f_included"] is False and doc["f_criteria"] is None
+    assert len(doc["d_criteria"]) == 8
+    assert out == run(capsys, "criteria", "--input", str(f), "--set", "d")[1]
+    # an explicit --set f|all asks for F; its 1 311 856 tuples are not built here
+    evaluate, asked = criteria.criteria_signature, []
+
+    def signature(s, tol, include_f=None):
+        asked.append(include_f)
+        return evaluate(s, tol, include_f=False)
+
+    monkeypatch.setattr(criteria, "criteria_signature", signature)
+    for argv, want in ((["--set", "f"], True), (["--set", "all"], True), ([], None)):
+        assert run(capsys, "criteria", "--input", str(f), *argv)[0] == 0
+        assert asked.pop() is want
 
 
 def test_all_zero_state_file_exits_one(tmp_path, capsys):
@@ -486,6 +497,9 @@ def test_cli_writes_no_state_file_it_could_not_read(tmp_path, capsys):
     ["criteria", "--set", "d", "enumerate", "--n", "3"],
     ["criteria", "--n", "3", "--input", "g3.json", "--set", "d"],
     ["criteria", "--n", "3"],
+    # criteria enumerate reads no --set, and no command has --force-f
+    ["criteria", "enumerate", "--n", "3", "--set", "all"],
+    ["criteria", "--input", "g.json", "--force-f"],
 ])
 def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -553,6 +567,23 @@ def test_allocation_failure_exits_one(tmp_path, capsys, monkeypatch, module, nam
     code, out, err = run(capsys, *argv)
     assert_one_error_line(code, out, err)
     assert err == f"error: {message or 'MemoryError'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [59, 70])
+@pytest.mark.parametrize("argv", [
+    ["make", "ghz", "-o", "x.json"],
+    ["make", "w", "-o", "x.json"],
+    ["make", "random", "-o", "x.json"],
+    ["verify", "--theorem", "1", "--trials", "1"],
+])
+def test_vector_beyond_numpys_array_limit_exits_one(tmp_path, capsys, monkeypatch, argv, n):
+    # numpy refuses an array above 2**63 - 1 bytes before allocating; an n in
+    # 35..58 may be allocated lazily on an overcommitting host, so none is run
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--n", str(n), "--max-n", "100")
+    assert_one_error_line(code, out, err)
+    assert f"n={n} needs 2^{n} amplitudes" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -204,6 +204,21 @@ def test_invariants_match_the_thue_morse_form():
                 assert abs(got - want) <= bound * _pair_magnitude(x), (n, k)
 
 
+def test_odd_iv_star_is_iv_bar_with_qubits_1_and_2_swapped():
+    # With lo0, lo1, hi0, hi1 the quarter blocks of qubits 1 and 2, odd-n
+    # IV* is B(lo0, hi1) + B(lo1, hi0): IVbar of the state whose qubits 1
+    # and 2 are exchanged.  The exchange keeps each pair (j, L-1-j), so M
+    # is the same for both states.
+    rng = np.random.default_rng(20261018)
+    bound = (math.sqrt(5) + 5) * U
+    for n in range(3, 14, 2):
+        for _ in range(5):
+            s = rand_state(n, rng)
+            a = s.amplitudes
+            swapped = new_state(n, a.reshape(2, 2, -1).transpose(1, 0, 2).ravel())
+            assert abs(iv_star(s) - iv_bar(swapped)) <= bound * _pair_magnitude(a), n
+
+
 # --- tau --------------------------------------------------------------------
 
 def test_tau_ghz_is_one():

@@ -505,6 +505,19 @@ def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
     assert peak < 2 * size + vector, (peak - size) / vector
 
 
+def test_save_state_holds_no_copy_of_the_vector(tmp_path):
+    # the [re, im] rows are a view of the amplitudes, and the encoder holds
+    # one slab of lists and text at a time
+    s = random_state(20, 1)
+    tracemalloc.start()
+    try:
+        save_state(s, tmp_path / "r20.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.amplitudes.nbytes, peak / s.amplitudes.nbytes
+
+
 @pytest.mark.parametrize("amplitudes, k", [
     ([SQ2, 0, 0, SQ2], 0), ([3, 0, 0, -1j], 2), ([0.5, 0.25j, 0, 0], 0),
     ([1e-300, 0, 0, 2e-300j], -995), ([1e300, 0, 0, 0], 997)])
