@@ -56,7 +56,7 @@ from .oracle import (
     oracle_odd3,
     oracle_odd5,
 )
-from .signtab import sign, sign_star, sign_star_table, sign_table
+from .signtab import sign_star_table, sign_table
 from .slocc import (
     LocalOperatorChain,
     apply_chain,
@@ -99,7 +99,7 @@ __all__ = [
     "iv_star", "iv_star_lower", "iv_star_shifted", "load_state",
     "new_state", "normalize", "odd_invariant", "oracle_iv2",
     "oracle_iv4", "oracle_iv6", "oracle_odd3", "oracle_odd5", "random_chain",
-    "random_state", "save_state", "sigma_x_chain", "sign", "sign_star",
-    "sign_star_table", "sign_table", "tau", "tensor", "to_json_dict",
-    "vanishing", "verify_theorem1", "verify_theorem2", "w_state",
+    "random_state", "save_state", "sigma_x_chain", "sign_star_table",
+    "sign_table", "tau", "tensor", "to_json_dict", "vanishing",
+    "verify_theorem1", "verify_theorem2", "w_state",
 ]

@@ -23,7 +23,7 @@ from .errors import BadArgs, SloccInvError
 DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such vectors
                         # (input, output), a verify trial one; override with --max-n
 VERIFY_GATE = 1e-8
-_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: enumerate 112 B, --set f 176 B
+_F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: enumerate 112 B, --set f 114 B
 _F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (every n >= 8)
 
 
@@ -262,7 +262,7 @@ def cmd_verify(args) -> int:
 def cmd_signs(args) -> int:
     _check_n(args.n, args.max_n, floor=2)
     table = signtab.sign_star_table(args.n) if args.star else signtab.sign_table(args.n)
-    print(json.dumps([int(v) for v in table]))
+    print(json.dumps(table.tolist()))
     return 0
 
 

@@ -22,7 +22,8 @@ vanishing masks.  A pair u < v is fixed by its class (A, X) =
 tuples class by class into one array of exactly `_f_count(n)` rows,
 sorts it stably on (i+j, i) and caches it read-only.
 D values come from the (blocks, 8) views of the front half and the
-mirrored back half, F values from one gather per subscript column.
+mirrored back half, F values from one gather per subscript column of
+each block of _F_BLOCK rows, written into two preallocated arrays.
 Every complex operation is spelled out on float64 real and imaginary
 arrays exactly as numpy's scalar complex arithmetic rounds it: products
 without fused multiply-add, `z ** 2` as z * z except that an exact zero
@@ -180,6 +181,7 @@ def _f_values(amplitudes: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, n
 
 
 _F_SIGNATURE_MAX_N = 6  # tuple counts explode past this; override explicitly
+_F_BLOCK = 1 << 14  # tuple rows per _f_values call: its temporaries stay block-sized
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +217,11 @@ def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
         include_f = s.n <= _F_SIGNATURE_MAX_N
     f_included = bool(include_f and s.n >= 3)
     tuples = f_enumerate(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
-    f = _decide(*_f_values(scaled.amplitudes, tuples), nsq, tol, 4, k)
+    re, im = np.empty(len(tuples)), np.empty(len(tuples))
+    for lo in range(0, len(tuples), _F_BLOCK):
+        hi = lo + _F_BLOCK
+        re[lo:hi], im[lo:hi] = _f_values(scaled.amplitudes, tuples[lo:hi])
+    f = _decide(re, im, nsq, tol, 4, k)
     return CriteriaSignature(n=s.n, tol=tol, d=d, f_tuples=tuples, f=f,
                              f_included=f_included)
 

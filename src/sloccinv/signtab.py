@@ -1,12 +1,11 @@
 """The +/-1 sign tables that orient every invariant term.
 
 Both tables are prefixes of the Thue-Morse signs tm(j) = (-1)**popcount(j).
-sign(n, .) is tm on [0, 2**(n-3)) for n >= 4 and on the single index 0
-for n in {2, 3}.  sign*(n, .) lives on [0, 2**(n-2)): it is tm there for
-even n, and the table sign(n, .) twice for odd n.
-
-The Thue-Morse table is built once per length by [t, -t] doubling and
-cached; lookups after warmup are plain array reads.
+sign_table(n) holds the paper's sign(n, i): tm on [0, 2**(n-3)) for
+n >= 4 and on the single index 0 for n in {2, 3}.  sign_star_table(n)
+holds sign*(n, i) on [0, 2**(n-2)): tm there for even n, and
+sign_table(n) twice for odd n.  The signs are read only as these two
+cached, read-only tables, built by [t, -t] doubling, never entry by entry.
 """
 
 from __future__ import annotations
@@ -46,21 +45,3 @@ def sign_star_table(n: int) -> np.ndarray:
     table = np.tile(sign_table(n), 2)
     table.setflags(write=False)
     return table
-
-
-def sign(n: int, i: int) -> int:
-    if n < 2:
-        raise IndexOutOfRange(f"sign needs n >= 2, got {n}")
-    limit = sign_table(n).size
-    if not 0 <= i < limit:
-        raise IndexOutOfRange(f"sign({n}, {i}): index outside [0, {limit})")
-    return int(sign_table(n)[i])
-
-
-def sign_star(n: int, i: int) -> int:
-    if n < 2:
-        raise IndexOutOfRange(f"sign* needs n >= 2, got {n}")
-    limit = 1 << (n - 2)
-    if not 0 <= i < limit:
-        raise IndexOutOfRange(f"sign*({n}, {i}): index outside [0, {limit})")
-    return int(sign_star_table(n)[i])

@@ -78,14 +78,16 @@ def new_state(n: int, amplitudes) -> StateVector:
 
 
 def _scaled(s: StateVector) -> tuple[StateVector, int]:
-    """(2**-k * s, k) with k = frexp(max|a|)[1], so max|a| of the result is in [1/2, 1).
+    """(2**-k * s, k) with k the binary exponent of the largest real or imaginary
+    part, so that part of the result is in [1/2, 1).
 
     The scaling is exact: a degree-d value of the result is exactly
     2**(-k*d) times that of s unless it underflows, and the result's norm
-    neither overflows nor underflows.
+    neither overflows nor underflows, even where |a| of s is not a finite float.
     """
-    k = math.frexp(float(np.max(np.abs(s.amplitudes))))[1]
-    return _wrap(s.n, np.ldexp(s.amplitudes.view(np.float64), -k).view(np.complex128)), k
+    parts = s.amplitudes.view(np.float64)
+    k = math.frexp(max(parts.max(), -parts.min()))[1]
+    return _wrap(s.n, np.ldexp(parts, -k).view(np.complex128)), k
 
 
 def normalize(s: StateVector) -> StateVector:
@@ -94,7 +96,7 @@ def normalize(s: StateVector) -> StateVector:
     nrm = scaled.norm()
     if nrm == 0.0:
         raise AllZero("cannot normalize the zero vector")
-    if abs(math.ldexp(nrm, k) - 1.0) <= _RESCALE_TOL:
+    if k <= 1 and abs(math.ldexp(nrm, k) - 1.0) <= _RESCALE_TOL:  # nrm >= 1/2: norm 1 needs k <= 1
         return s
     return _wrap(s.n, scaled.amplitudes / nrm)
 

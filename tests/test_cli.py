@@ -273,6 +273,12 @@ def test_criteria_needs_an_input(capsys):
     assert "requires --input" in err
 
 
+def test_criteria_enumerate_needs_n(capsys):
+    code, out, err = run(capsys, "criteria", "enumerate")
+    assert_one_error_line(code, out, err)
+    assert err == "error: criteria enumerate requires --n\n"
+
+
 def test_criteria_at_n7_evaluates_f_only_when_asked_for(tmp_path, capsys, monkeypatch):
     f = tmp_path / "r7.json"
     run(capsys, "make", "random", "--n", "7", "-o", str(f))
@@ -354,6 +360,27 @@ def test_norm_overflow_exits_one_with_one_line(tmp_path, capsys, command):
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "too large" in err
+
+
+def _top_of_range_file(tmp_path, n):
+    # finite parts, but |a0| = 2.1e308 is not a finite float
+    f = tmp_path / f"top{n}.json"
+    f.write_text(json.dumps({"n": n, "amplitudes": [[1.5e308, 1.5e308]]
+                             + [[0, 0]] * ((1 << n) - 2) + [[1, 0]]}))
+    return str(f)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_of_range_states_never_blame_tol(tmp_path, capsys, n):
+    f = _top_of_range_file(tmp_path, n)
+    code, out, err = run(capsys, "criteria", "--input", f)
+    assert code == 0 and err == ""
+    assert json.loads(out)["n"] == n
+    for argv in (["invariant", "--input", f], ["compare", f, f]):
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert re.fullmatch(r"error: raw value \|v\| = \S+ \* 2\*\*\d+ is too large for a float\n",
+                            err), err
 
 
 def test_huge_tol_names_tol_in_its_one_line(tmp_path, capsys):

@@ -183,6 +183,19 @@ def test_f_enumerate_peaks_below_three_results():
     assert peak < 192 * len(tuples), peak / len(tuples)
 
 
+def test_f_evaluation_peaks_below_80_bytes_per_tuple():
+    # the tuples are cached; evaluated whole, the 12 gathers and every
+    # intermediate were full-length arrays, a peak of 112 B per tuple
+    s, tuples = rand_state(6), f_enumerate(6)
+    tracemalloc.start()
+    try:
+        criteria_signature(s, include_f=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * len(tuples), peak / len(tuples)
+
+
 @pytest.mark.parametrize("shift, match", [(-1, "broadcast"), (1, "wrote")])
 def test_f_enumerate_raises_on_a_wrong_row_count(monkeypatch, shift, match):
     monkeypatch.setattr(criteria, "_f_count", lambda n: _f_count(n) + shift)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sloccinv import IndexOutOfRange, sign, sign_star, sign_star_table, sign_table
+from sloccinv import IndexOutOfRange, sign_star_table, sign_table
 
 
 def _sign_recursive(n, i, memo={}):
@@ -37,9 +37,9 @@ def test_tables_match_direct_recursion_up_to_16():
     for n in range(2, 17):
         limit = 1 if n <= 3 else 1 << (n - 3)
         for i in range(limit):
-            assert sign(n, i) == _sign_recursive(n, i), (n, i)
+            assert sign_table(n)[i] == _sign_recursive(n, i), (n, i)
         for i in range(1 << (n - 2)):
-            assert sign_star(n, i) == _sign_star_recursive(n, i), (n, i)
+            assert sign_star_table(n)[i] == _sign_star_recursive(n, i), (n, i)
 
 
 def test_tables_are_popcount_parity_up_to_22():
@@ -65,9 +65,9 @@ def test_golden_patterns():
 
 
 def test_base_cases():
-    assert sign(2, 0) == 1
-    assert sign(3, 0) == 1
-    assert sign_star(2, 0) == 1
+    assert sign_table(2).tolist() == [1]
+    assert sign_table(3).tolist() == [1]
+    assert sign_star_table(2).tolist() == [1]
 
 
 def test_entries_are_unit():
@@ -104,27 +104,13 @@ def test_lemma_style_echo_for_odd_n():
     # sign*(n-1, i) == sign(n, i) on the sign range, for odd n
     for n in (5, 7, 9):
         for i in range(1 << (n - 3)):
-            assert sign_star(n - 1, i) == sign(n, i), (n, i)
+            assert sign_star_table(n - 1)[i] == sign_table(n)[i], (n, i)
 
 
 def test_range_errors():
-    with pytest.raises(IndexOutOfRange):
-        sign(2, 1)
-    with pytest.raises(IndexOutOfRange):
-        sign(3, 1)
-    with pytest.raises(IndexOutOfRange):
-        sign(4, 2)
-    with pytest.raises(IndexOutOfRange):
-        sign(4, -1)
-    with pytest.raises(IndexOutOfRange):
-        sign(1, 0)
-    with pytest.raises(IndexOutOfRange):
-        sign_star(2, 1)
-    with pytest.raises(IndexOutOfRange):
-        sign_star(5, 8)
-    for call in (lambda: sign_table(1), lambda: sign_star_table(1), lambda: sign_star(1, 0)):
+    for table in (sign_table, sign_star_table):
         with pytest.raises(IndexOutOfRange, match="needs n >= 2"):
-            call()
+            table(1)
 
 
 def test_tables_are_read_only():

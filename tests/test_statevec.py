@@ -122,6 +122,24 @@ def test_normalize_at_both_ends_of_the_float_range(peak):
     assert abs(s.norm_squared() - 1.0) <= 1e-12
 
 
+# finite parts whose modulus |a| is not a finite float
+TOP_OF_RANGE = {2: [1.5e308 + 1.5e308j, 0, 0, 1], 3: [1.5e308 + 1.5e308j] + [0] * 6 + [1]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_normalize_at_the_top_of_the_float_range(n):
+    s = normalize(new_state(n, TOP_OF_RANGE[n]))
+    np.testing.assert_allclose(s.amplitudes, [SQ2 + SQ2 * 1j] + [0] * ((1 << n) - 1),
+                               rtol=1e-15, atol=1e-308)  # the last one is 1/|a0| = 4.7e-309
+    assert abs(s.norm_squared() - 1.0) <= 1e-12
+
+
+def test_normalize_of_a_norm_past_the_float_range():
+    # |s| = 2.4e308: the no-op test must not unscale the norm
+    s = normalize(new_state(2, [1.7e308, 0, 0, 1.7e308]))
+    np.testing.assert_allclose(s.amplitudes, [SQ2, 0, 0, SQ2], rtol=1e-15)
+
+
 def test_normalize_bits_match_the_plain_division():
     # the exact power-of-two scaling leaves in-range results bit for bit as s / |s|
     for n in range(1, 11):
@@ -526,6 +544,17 @@ def test_scaled_is_an_exact_power_of_two(amplitudes, k):
     scaled, got = statevec._scaled(s)
     assert got == k
     assert 0.5 <= np.max(np.abs(scaled.amplitudes)) < 1.0
+    np.testing.assert_array_equal(np.ldexp(scaled.amplitudes.view(np.float64), k),
+                                  s.amplitudes.view(np.float64))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scaled_takes_k_from_the_largest_part(n):
+    # max|a| is inf here, while the largest part 1.5e308 has exponent 1024
+    s = new_state(n, TOP_OF_RANGE[n])
+    scaled, k = statevec._scaled(s)
+    assert k == 1024
+    assert np.isfinite(scaled.norm_squared())
     np.testing.assert_array_equal(np.ldexp(scaled.amplitudes.view(np.float64), k),
                                   s.amplitudes.view(np.float64))
 
