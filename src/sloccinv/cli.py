@@ -66,8 +66,12 @@ def _check_f_fits(n: int) -> None:
 
 
 def _load(path: str, max_n: int) -> statevec.StateVector:
-    s = statevec.load_state(path)
-    _check_n(s.n, max_n)
+    """load_state(path) under the cap; a file in save_state's layout is held to it
+    by its head's n, before any amplitude is decoded."""
+    def check(n: int) -> None:
+        _check_n(n, max_n)
+    s = statevec.load_state(path, check)
+    check(s.n)
     return s
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import re
+import stat
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -215,68 +216,97 @@ def from_json_dict(doc) -> StateVector:
     return _wrap(n, amps)
 
 
-_LOADS = partial(json.loads, parse_constant=_reject_constant)  # whole text, BOM check included
 _WS = json.decoder.WHITESPACE.match  # JSON whitespace, [ \t\n\r]*
-_LOAD_SLAB = 1 << 18  # characters of the amplitude list per decode call of load_state
+_LOAD_SLAB = 1 << 18  # characters per read and per decode call of load_state
 
 # save_state's layout: _HEAD % n, the [re, im] pairs joined by ", ", _TAIL and "\n"
 _HEAD, _TAIL = '{"n": %d, "amplitudes": [', "]}"
 _SAVED_HEAD = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]?)"))
 
 
-def _saved_state(text: str):
-    """The state of a text in save_state's layout, decoded in slabs; else json.loads(text).
+def _streamed_state(fh, size: int, check_n) -> StateVector | None:
+    """The state of a file in save_state's layout, read and decoded _LOAD_SLAB
+    characters at a time into one preallocated vector; None for any other text.
 
-    The pair list is cut just after a "]" every _LOAD_SLAB characters or
-    so; each cut must be followed by ",".  Each slab is decoded and turned
-    into complex values before the next.  When every slab decodes to
-    number pairs, the list is exactly their entries, so the state is that
-    of the whole-list parse.  Any other text, or a slab, count or all-zero
-    check that fails, goes to json.loads, for from_json_dict to decide.
+    The head is read first, and check_n gets its n before any amplitude is
+    decoded.  The vector is allocated only if the file can hold 2**n of the
+    shortest entry, "[0, 0], ".  The pair list is cut just after the first
+    "]" at _LOAD_SLAB - 1 characters or more into the unread text; each cut
+    must be followed by ",".  A cut that meets the last entry reads on to
+    the end of the file, where "]]}" may be followed only by JSON whitespace.
+    Each slab is decoded and turned into complex values before the next is
+    read.  When every slab decodes to number pairs, the list is exactly
+    their entries, so the state is that of the whole-list parse.  Any other
+    text, bad UTF-8 in any read, or a slab, count or all-zero check that
+    fails gives None, for the whole parse to decide.
     """
-    head, stop = _SAVED_HEAD.match(text), text.rfind("]" + _TAIL) + 1
-    if head and stop > head.end() and _WS(text, stop + len(_TAIL)).end() == len(text):
-        parts, lo = [], head.end()
-        while lo < stop:
-            hi = text.find("]", min(lo + _LOAD_SLAB, stop) - 1, stop) + 1
+    text = fh.read(len(_HEAD % 99))  # the longest head
+    head = _SAVED_HEAD.match(text)
+    if not head:
+        return None
+    n = int(head[1])
+    if check_n is not None:
+        check_n(n)
+    if 8 << n > size:
+        return None
+    amps, count, text, eof = np.empty(1 << n, dtype=np.complex128), 0, text[head.end():], False
+    try:
+        while True:
+            stop = text.rfind("]" + _TAIL) + 1 if eof else len(text)
+            if eof and (not stop or _WS(text, stop + len(_TAIL)).end() < len(text)):
+                return None
+            hi = text.find("]", min(_LOAD_SLAB, stop) - 1, stop) + 1
             comma = _WS(text, hi).end()
-            if hi < stop and not text.startswith(",", comma):
+            if not (hi and text.startswith(",", comma) or eof and hi == stop):
+                if eof:
+                    return None
+                more = fh.read(_LOAD_SLAB)  # the cut or its comma lies beyond the text read
+                text += more
+                eof = not more
+                continue
+            part = _complex_pairs(json.loads(f"[{text[:hi]}]"), "amplitude")
+            amps[count:count + part.size] = part  # past 2**n entries: a ValueError
+            count += part.size
+            if eof and hi == stop:
                 break
-            try:
-                parts.append(_complex_pairs(json.loads(f"[{text[lo:hi]}]"), "amplitude"))
-            except (ValueError, RecursionError):  # no pairs, or a cut inside an entry or a string
-                break
-            lo = comma + 1
-        else:
-            amps, n = np.concatenate(parts), int(head[1])
-            if _is_2_pow(amps.size, n) and np.any(amps):
-                return _wrap(n, amps)
-    return _LOADS(text)
+            text = text[comma + 1:]
+    except (ValueError, RecursionError):  # bad UTF-8, no pairs, a cut inside an entry or a string
+        return None
+    return _wrap(n, amps) if count == amps.size and np.any(amps) else None
 
 
-def _read_json(path, decode=_LOADS):
-    """decode(text) of a UTF-8 file; malformed or too deeply nested JSON and
+def _read_json(path):
+    """json.loads of a UTF-8 file's whole text, for ops files and for state files
+    that load_state does not stream; malformed or too deeply nested JSON and
     NaN/Infinity tokens raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return decode(fh.read())
+            return json.loads(fh.read(), parse_constant=_reject_constant)  # BOM check included
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int past the digit limit
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def load_state(path) -> StateVector:
-    """from_json_dict(json.load(file)), with one slab of save_state's pair list alive at a time.
+def load_state(path, check_n=None) -> StateVector:
+    """from_json_dict(json.load(file)), streaming a file in save_state's layout.
 
-    The text is read once.  A file in save_state's layout is decoded in
-    slabs of about _LOAD_SLAB characters, each turned into complex values
-    before the next, where json.load would build 2**n two-float lists first
-    (about 130 bytes per amplitude): the peak is twice the text while it is
-    read (its bytes and its str), then the text plus two vectors.  A file in
-    any other layout is parsed whole.  Values and errors, messages included,
-    are those of from_json_dict(json.load(file)).
+    A regular file in save_state's layout is read and decoded in slabs of
+    about _LOAD_SLAB characters, each written into one preallocated
+    vector before the next is read, where json.load would hold the text and
+    build 2**n two-float lists first (about 130 bytes per amplitude): the
+    peak is the vector plus a few slabs, whatever the file's size.
+    check_n, if given, is called with the n of save_state's head before
+    any amplitude is decoded; what it raises propagates.  Any other file,
+    or one whose stream fails a check, is read again whole and parsed by
+    json.loads.  Values and errors, messages included, are those of
+    from_json_dict(json.load(file)).
     """
-    doc = _read_json(path, _saved_state)
-    return doc if isinstance(doc, StateVector) else from_json_dict(doc)
+    info = os.stat(path)
+    if stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
+        with open(path, "r", encoding="utf-8") as fh:
+            s = _streamed_state(fh, info.st_size, check_n)
+        if s is not None:
+            return s
+    return from_json_dict(_read_json(path))
 
 
 _SAVE_SLAB = 1 << 14  # amplitudes per json.dumps call of save_state

@@ -18,7 +18,7 @@ import pytest
 
 from sloccinv import (achieved_pair_sums, complement, criteria, f_enumerate, load_state,
                       random_state, save_state)
-from sloccinv import cli
+from sloccinv import cli, statevec
 from sloccinv.cli import build_parser, main
 
 
@@ -548,6 +548,35 @@ def test_every_command_takes_max_n(tmp_path, capsys, monkeypatch):
                  ["signs", "--n", "3"]):
         assert run(capsys, *argv, "--max-n", "3")[0] == 0, argv
         assert_one_error_line(*run(capsys, *argv, "--max-n", "2"))
+
+
+def test_max_n_is_checked_from_the_head_of_a_saved_file(tmp_path, capsys, monkeypatch):
+    # a file in save_state's layout is refused by its head's n before any
+    # amplitude is converted, even when its list is broken; any other
+    # layout is parsed first, then capped
+    monkeypatch.chdir(tmp_path)
+    save_state(random_state(12, 1), "r12.json")
+    Path("broken.json").write_text('{"n": 12, "amplitudes": [[1, 0]]}')
+    Path("pretty.json").write_text(json.dumps(json.loads(Path("r12.json").read_text()), indent=1))
+    converted = []
+    convert = statevec._complex_pairs
+    monkeypatch.setattr(statevec, "_complex_pairs", lambda entries, what:
+                        converted.append(len(entries)) or convert(entries, what))
+    ops = {"ops": [[[1, 0], [0, 0], [0, 0], [1, 0]]] * 12}
+    Path("ops.json").write_text(json.dumps(ops))
+    for argv in (["invariant", "--input", "r12.json"], ["compare", "r12.json", "r12.json"],
+                 ["apply", "--input", "r12.json", "--ops", "ops.json", "--output", "o.json"],
+                 ["invariant", "--input", "broken.json"]):
+        code, out, err = run(capsys, *argv, "--max-n", "10")
+        assert_one_error_line(code, out, err)
+        assert "n=12 exceeds the cap 10 (raise it with --max-n)" in err, argv
+    assert converted == [] and not Path("o.json").exists()
+    code, out, err = run(capsys, "invariant", "--input", "broken.json", "--max-n", "12")
+    assert_one_error_line(code, out, err)
+    assert "expected 2**12 amplitude entries for n=12" in err
+    code, out, err = run(capsys, "invariant", "--input", "pretty.json", "--max-n", "10")
+    assert_one_error_line(code, out, err)
+    assert "n=12 exceeds the cap 10" in err and converted == [4096]
 
 
 @pytest.mark.parametrize("argv", [

@@ -467,6 +467,7 @@ STATE_TEXT_VARIANTS = [
     '{"n": 0, "amplitudes": [[1, 0]]}',
     '{"n": 01, "amplitudes": %s}' % PAIRS,
     '{"n": 100, "amplitudes": %s}' % PAIRS,
+    '{"n": 99, "amplitudes": %s}' % PAIRS,  # a head whose vector could never be allocated
     '{"n": 1, "amplitudes": %s}\x0c' % PAIRS,
     # not one object
     PAIRS, "{}", " { } ", "", "\ufeff" + '{"n": 1, "amplitudes": %s}' % PAIRS,
@@ -487,6 +488,21 @@ def state_texts():
     yield from STATE_TEXT_VARIANTS
 
 
+def mid_stream_files(data: bytes):
+    """(bytes, streamed) cases of save_state's n=15 file, several slabs long: a
+    fault past the first slab, and a valid file whose last cut meets its final entry."""
+    past = 2 * statevec._LOAD_SLAB
+    entry = data.index(b"[", len(data) - 5000)
+    last = data.rindex(b", [") + 2
+    yield data[:past] + b"\xff" + data[past + 1:], False  # invalid UTF-8
+    yield data[:past], False  # truncated
+    yield data + b"x", False  # non-whitespace after "]]}\n"
+    yield data[:entry] + b"[NaN, 0]" + data[data.index(b"]", entry) + 1:], False
+    # the whitespace holds no "]", so the last slab's cut is the final entry's
+    yield data[:last] + b" " * statevec._LOAD_SLAB + data[last:], True
+    yield data, True
+
+
 @pytest.mark.parametrize("slab", [1, 16, 100, None])
 def test_load_state_is_the_whole_list_parse(tmp_path, monkeypatch, slab):
     # with slabs of 1 and 16 characters a cut follows every entry
@@ -503,24 +519,52 @@ def test_load_state_is_the_whole_list_parse(tmp_path, monkeypatch, slab):
     # the n=15 file holds a save_state slab separator
     save_state(random_state(15, 3), path)
     assert load_outcome(load_state, path) == load_outcome(json_load_state, path)
+    if slab is None:
+        whole_reads = []
+        monkeypatch.setattr(statevec, "_read_json", lambda p, read=statevec._read_json:
+                            whole_reads.append(p) or read(p))
+        for data, streamed in mid_stream_files(path.read_bytes()):
+            path.write_bytes(data)
+            del whole_reads[:]
+            want = load_outcome(json_load_state, path)
+            assert load_outcome(load_state, path) == want, data[-80:]
+            assert (want[0] == 15) == streamed
+            assert whole_reads == ([] if streamed else [path])  # a failed stream reads again
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_state_reads_a_pipe_once():
+    # a pipe cannot be read twice, so it is parsed whole, never streamed
+    s = random_state(3, 7)
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "w") as fh:
+            fh.write(json.dumps(to_json_dict(s)) + "\n")
+        loaded = load_state(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
 
 
 def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
     # json.load built 2**16 two-float lists before converting any: its peak
-    # was 12.05 MiB for this 3.01 MiB file, text plus 9 vectors.  Reading
-    # the text holds its bytes and its str at once, twice the text; the
-    # slab parse stays below that.
-    path = tmp_path / "r16.json"
-    save_state(random_state(16, 1), path)
-    size, vector = path.stat().st_size, 16 << 16
-    load_state(path)
-    tracemalloc.start()
-    try:
+    # was 12.05 MiB for the 3.01 MiB n=16 file, text plus 9 vectors.  Reading
+    # the whole text held its bytes and its str at once, twice the text, and
+    # at n=18 the peak was 20.4 MiB above the vector.  The stream holds the
+    # vector and a few slabs, whatever the file's size.
+    for n in (16, 18):
+        path = tmp_path / f"r{n}.json"
+        save_state(random_state(n, 1), path)
+        size, vector = path.stat().st_size, 16 << n
         load_state(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * size + vector, (peak - size) / vector
+        tracemalloc.start()
+        try:
+            load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * size + vector, (peak - size) / vector
+        assert peak - vector < 12 * statevec._LOAD_SLAB, (n, (peak - vector) / statevec._LOAD_SLAB)
 
 
 def test_save_state_holds_no_copy_of_the_vector(tmp_path):
