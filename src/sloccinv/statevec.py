@@ -230,7 +230,7 @@ def _streamed_state(fh, size: int, check_n) -> StateVector | None:
 
     The head is read first, and check_n gets its n before any amplitude is
     decoded.  The vector is allocated only if the file can hold 2**n of the
-    shortest entry, "[0, 0], ".  The pair list is cut just after the first
+    shortest entry, "[0,0],".  The pair list is cut just after the first
     "]" at _LOAD_SLAB - 1 characters or more into the unread text; each cut
     must be followed by ",".  A cut that meets the last entry reads on to
     the end of the file, where "]]}" may be followed only by JSON whitespace.
@@ -240,14 +240,17 @@ def _streamed_state(fh, size: int, check_n) -> StateVector | None:
     text, bad UTF-8 in any read, or a slab, count or all-zero check that
     fails gives None, for the whole parse to decide.
     """
-    text = fh.read(len(_HEAD % 99))  # the longest head
+    try:  # the first read decodes a whole chunk of the file, not just the head
+        text = fh.read(len(_HEAD % 99))  # the longest head
+    except ValueError:  # bad UTF-8 near the start
+        return None
     head = _SAVED_HEAD.match(text)
     if not head:
         return None
     n = int(head[1])
     if check_n is not None:
         check_n(n)
-    if 8 << n > size:
+    if 6 << n > size:
         return None
     amps, count, text, eof = np.empty(1 << n, dtype=np.complex128), 0, text[head.end():], False
     try:

@@ -333,6 +333,25 @@ def test_bad_json_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_bad_utf8_in_a_state_file_exits_one(tmp_path, capsys):
+    # the stream's first read decodes a whole chunk of the file, not just the head
+    data = (tmp_path / "r12.json")
+    save_state(random_state(12, 1), data)
+    data = data.read_bytes()
+    for name, bad in (("start.json", b"\xff" + data[1:]),
+                      ("utf16.json", b"\xff\xfe" + data.decode().encode("utf-16-le")),
+                      ("chunk.json", data[:4000] + b"\xff" + data[4001:]),
+                      ("late.json", data[:-5000] + b"\xff" + data[-4999:])):
+        (tmp_path / name).write_bytes(bad)
+        for argv in (["invariant", "--input", name], ["compare", name, "r12.json"],
+                     ["make", "complement", name, "-o", "o.json"]):
+            code, out, err = run(capsys, *[str(tmp_path / a) if a.endswith(".json") else a
+                                           for a in argv])
+            assert_one_error_line(code, out, err)
+            assert "invalid JSON: 'utf-8' codec can't decode byte 0xff" in err, (name, argv)
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_apply_malformed_ops_file_exits_one(tmp_path, capsys):
     src, ops, dst = tmp_path / "g2.json", tmp_path / "ops.json", tmp_path / "out.json"
     run(capsys, "make", "ghz", "--n", "2", "-o", str(src))

@@ -490,10 +490,15 @@ def state_texts():
 
 def mid_stream_files(data: bytes):
     """(bytes, streamed) cases of save_state's n=15 file, several slabs long: a
-    fault past the first slab, and a valid file whose last cut meets its final entry."""
+    fault in the first text read or past the first slab, a valid file whose
+    last cut meets its final entry, and one of the shortest entries."""
     past = 2 * statevec._LOAD_SLAB
     entry = data.index(b"[", len(data) - 5000)
     last = data.rindex(b", [") + 2
+    yield b"\xff" + data[1:], False  # invalid UTF-8 at the first byte
+    yield b"\xff\xfe" + data.decode().encode("utf-16-le"), False  # UTF-16
+    # the first read decodes a whole chunk of the file, not just the head
+    yield data[:4000] + b"\xff" + data[4001:], False
     yield data[:past] + b"\xff" + data[past + 1:], False  # invalid UTF-8
     yield data[:past], False  # truncated
     yield data + b"x", False  # non-whitespace after "]]}\n"
@@ -501,6 +506,8 @@ def mid_stream_files(data: bytes):
     # the whitespace holds no "]", so the last slab's cut is the final entry's
     yield data[:last] + b" " * statevec._LOAD_SLAB + data[last:], True
     yield data, True
+    # the shortest entries, "[0,0],", are streamed too
+    yield data[:data.index(b"[") + 1] + b"[0,0]," * ((1 << 15) - 2) + b"[1,0],[0,0]]}", True
 
 
 @pytest.mark.parametrize("slab", [1, 16, 100, None])
