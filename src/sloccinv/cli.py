@@ -53,8 +53,9 @@ def _check_vector_n(n: int, max_n: int, floor: int = 1) -> int:
     return n
 
 
-def _check_f_fits(n: int) -> None:
-    """Refuse F work estimated above the budget, before any tuple is built."""
+def _check_f_fits(n: int, max_n: int) -> None:
+    """Refuse F work below n=3, above the cap or over the budget, before any tuple is built."""
+    _check_n(n, max_n, floor=3)
     if n >= 63:  # f_enumerate's int64 subscripts reach 2**n - 1; the count has ~1.2n digits
         raise BadArgs(f"F criteria at n={n} need subscripts up to 2^{n} - 1, beyond int64")
     count = criteria._f_count(n)
@@ -196,8 +197,7 @@ def cmd_criteria(args) -> int:
     if args.action == "enumerate":
         if args.n is None:
             raise BadArgs("criteria enumerate requires --n")
-        _check_n(args.n, args.max_n, floor=3)
-        _check_f_fits(args.n)
+        _check_f_fits(args.n, args.max_n)
         tuples = criteria.f_enumerate(args.n)
         doc = {
             "n": args.n,
@@ -215,7 +215,7 @@ def cmd_criteria(args) -> int:
     s = _load(args.input, args.max_n)
     include_f = None if args.set is None else args.set in ("f", "all")
     if include_f:
-        _check_f_fits(s.n)
+        _check_f_fits(s.n, args.max_n)
     sig = criteria.criteria_signature(s, args.tol, include_f=include_f)
     doc = _signature_doc(sig)
     if args.set == "f":

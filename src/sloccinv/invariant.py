@@ -1,9 +1,10 @@
 """SLOCC invariants and residual entanglement tau.
 
 Every invariant is one signed bilinear form.  With the Thue-Morse signs
-tm(j) = (-1)**popcount(j) and B(x, y) = sum_j tm(j) x_j y_{L-1-j}:
+tm(j) = (-1)**popcount(j) and B(x, y) = sum_j tm(j) x_j y_{M-1-j}
+for blocks x, y of M amplitudes:
 
-    even n:  IV*(a, n) = B(a, a) / 2,               tau = 2|IV*|
+    even n:  IV*(a, n) = B(lo, hi) = B(a, a) / 2,   tau = 2|IV*|
     odd n:   IVbar(a, n) = B(lo, hi),  IV*(lo) = B(lo, lo) / 2, ...
              odd invariant = IVbar**2 - 4 IV*(lo) IV*(hi),  tau = 4|...|
 
@@ -13,10 +14,10 @@ on qubit 1.  Under an invertible local-operator chain IV* picks up the
 product of the 2x2 determinants (even n) and the odd invariant its
 square; tau is therefore invariant under determinant-one chains.
 
-One kernel, `_bracket_sum`, evaluates all of them.  It folds the terms
-i and L/4-1-i of the one-bracket sum into one two-bracket term, so a
-2**n-amplitude vector costs 2**(n-3) terms, streamed in fixed-size
-slabs through one compensated lane accumulator, whatever the size.
+One kernel, `_form(x, y)`, evaluates all of them on views of the
+qubit-1 halves and quarters of the vector.  It joins four terms of B into
+one two-bracket term, so blocks of 2**m amplitudes cost 2**max(m-2, 0)
+terms, streamed in fixed-size slabs through one compensated lane accumulator.
 Every sum is compensated in fixed index order, so cancellation-heavy
 states (W, single-qubit tensor factors) evaluate to clean zeros and
 results are reproducible bit-for-bit; a term array of at most _LANES
@@ -86,28 +87,26 @@ class _CompensatedAccumulator:
         return complex(re, im)
 
 
-def _bracket_sum(a: np.ndarray, sign: int) -> complex:
-    """sum_i tm(i) * (outer_i + sign * inner_i) over the 2**max(n-3, 0) terms
-    of a 2**n-amplitude vector.
+def _form(x: np.ndarray, y: np.ndarray) -> complex:
+    """B(x, y) of two blocks of M = 2**m >= 2 amplitudes, as 2**max(m-2, 0) terms.
 
-    outer_i = a_{2i} a_{L-1-2i} - a_{2i+1} a_{L-2-2i} is the i-th one-bracket
-    term; inner_i is the term L/4-1-i, its mirror about the middle, which a
-    4-amplitude vector does not have.  sign is +1 for IV* and -1 for IVbar.
+    Term i is tm(i) * (outer_i +- inner_i).  outer_i = x_{2i} y_{M-1-2i} -
+    x_{2i+1} y_{M-2-2i} joins terms 2i and 2i+1 of B; inner_i = outer_{M/2-1-i}
+    has the sign tm(i) * (-1)**(m-1), so it is added for odd m, subtracted for even m.
     """
-    size = a.size
-    half = size >> 1
-    mirrored = size >> 3  # terms that have a mirror: all but the one of n=2
-    m = (size >> 2) - mirrored
-    e1, o1, e2, o2 = a[0::2], a[size - 1::-2], a[1::2], a[size - 2::-2]
-    m1, m2 = a[half - 2::-2][:mirrored], a[half + 1::2][:mirrored]
-    m3, m4 = a[half - 1::-2][:mirrored], a[half::2][:mirrored]
-    signs = sign_table(size.bit_length() - 1)
-    fold = np.add if sign > 0 else np.subtract
-    step = min(m, _LANES // 2)  # 64 KiB of terms
+    size = x.size
+    mirrored = size >> 2  # terms with an inner term: all but the one of m=1
+    count = max(mirrored, 1)
+    e1, o1, e2, o2 = x[0::2], y[::-2], x[1::2], y[-2::-2]
+    m1, m2, m3, m4 = (v[:mirrored] for v in (x[-2::-2], y[1::2], x[::-2], y[0::2]))
+    m = size.bit_length() - 1
+    signs = sign_table(m + 1)
+    fold = np.add if m % 2 else np.subtract
+    step = min(count, _LANES // 2)  # 64 KiB of terms
     buf = np.empty((3, step), dtype=np.complex128)
     acc = _CompensatedAccumulator()
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
         w, wi = hi - lo, min(hi, mirrored) - lo
         t = np.multiply(e1[lo:hi], o1[lo:hi], out=buf[0, :w])
         t -= np.multiply(e2[lo:hi], o2[lo:hi], out=buf[2, :w])
@@ -125,36 +124,37 @@ def _check_odd(s: StateVector, name: str) -> None:
 
 
 def iv_star(s: StateVector) -> complex:
-    """The sign*-weighted one-bracket sum over the full vector; B(a, a)/2 for even n."""
+    """B(lo, hi) = B(a, a)/2 for even n; B(lo0, hi1) + B(lo1, hi0) for odd n."""
     if s.n < 2:
         raise TooFewQubits(f"iv_star needs n >= 2, got {s.n}")
-    return _bracket_sum(s.amplitudes, +1)
+    if s.n % 2 == 0:
+        return _form(*s.amplitudes.reshape(2, -1))
+    (lo0, lo1), (hi0, hi1) = s.amplitudes.reshape(2, 2, -1)
+    return _form(lo0, hi1) + _form(lo1, hi0)
 
 
 def iv_bar(s: StateVector) -> complex:
-    """B(lo, hi): the odd-n bilinear sum (minus-bracket variant of IV*)."""
+    """B(lo, hi) of the qubit-1 half-blocks, for odd n."""
     _check_odd(s, "iv_bar")
-    return _bracket_sum(s.amplitudes, -1)
+    return _form(*s.amplitudes.reshape(2, -1))
 
 
 def iv_star_lower(s: StateVector) -> complex:
     """IV* of the qubit-1 |0> half-block, viewed as an (n-1)-qubit vector."""
     _check_odd(s, "iv_star_lower")
-    return _bracket_sum(s.amplitudes[: 1 << (s.n - 1)], +1)
+    return _form(*s.amplitudes.reshape(2, 2, -1)[0])
 
 
 def iv_star_shifted(s: StateVector) -> complex:
     """IV* of the qubit-1 |1> half-block (all subscripts raised by 2**(n-1))."""
     _check_odd(s, "iv_star_shifted")
-    return _bracket_sum(s.amplitudes[1 << (s.n - 1):], +1)
+    return _form(*s.amplitudes.reshape(2, 2, -1)[1])
 
 
 def _odd_parts(s: StateVector) -> tuple[complex, complex, complex, complex]:
     """IVbar, IV*(lower), IV*(upper) and IVbar**2 - 4 * IV*(lower) * IV*(upper)."""
     bar = iv_bar(s)
-    half = 1 << (s.n - 1)
-    low = _bracket_sum(s.amplitudes[:half], +1)
-    high = _bracket_sum(s.amplitudes[half:], +1)
+    low, high = (_form(*half) for half in s.amplitudes.reshape(2, 2, -1))
     return bar, low, high, bar * bar - 4.0 * low * high
 
 

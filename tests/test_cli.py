@@ -249,9 +249,17 @@ def test_criteria_enumerate_accepts_explicit_defaults(capsys):
     assert out == run(capsys, "criteria", "enumerate", "--n", "3")[1]
 
 
-def test_n_below_the_command_floor_exits_one(capsys):
-    for argv, floor in ((["verify", "--theorem", "1", "--n", "1"], 2),
-                        (["criteria", "enumerate", "--n", "2"], 3)):
+def test_n_below_the_command_floor_exits_one(tmp_path, capsys):
+    runs = [(["verify", "--theorem", "1", "--n", "1"], 2),
+            (["criteria", "enumerate", "--n", "2"], 3)]
+    for n in (1, 2):  # F has no tuple below n=3: asking for it is refused, not dropped
+        f = tmp_path / f"g{n}.json"
+        run(capsys, "make", "ghz", "--n", str(n), "-o", str(f))
+        runs += [(["criteria", "--input", str(f), "--set", choice], 3) for choice in ("f", "all")]
+        code, out, _ = run(capsys, "criteria", "--input", str(f))
+        assert code == 0 and json.loads(out)["f_included"] is False
+        assert out == run(capsys, "criteria", "--input", str(f), "--set", "d")[1]
+    for argv, floor in runs:
         code, out, err = run(capsys, *argv)
         assert_one_error_line(code, out, err)
         assert f"need n >= {floor}" in err

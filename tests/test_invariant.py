@@ -23,6 +23,7 @@ from sloccinv import (
     vanishing,
     w_state,
 )
+from sloccinv import invariant
 from sloccinv.errors import NormOverflow, SloccInvError
 from sloccinv.invariant import _LANES, _CompensatedAccumulator, vanishing_threshold
 from sloccinv.signtab import sign_star_table
@@ -217,6 +218,45 @@ def test_odd_iv_star_is_iv_bar_with_qubits_1_and_2_swapped():
             a = s.amplitudes
             swapped = new_state(n, a.reshape(2, 2, -1).transpose(1, 0, 2).ravel())
             assert abs(iv_star(s) - iv_bar(swapped)) <= bound * _pair_magnitude(a), n
+
+
+def _rand_block(rng, size):
+    return rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+
+
+def _block_magnitude(x, y):
+    """sum_j |x_j| |y_{M-1-j}|: every product of B(x, y), once."""
+    return float(np.abs(x) @ np.abs(y)[::-1])
+
+
+def test_kernel_matches_the_thue_morse_form_on_unrelated_blocks():
+    # the bound of test_invariants_match_the_thue_morse_form; B(y, x) is
+    # exactly (-1)**m B(x, y), so the two kernel values are within twice it
+    rng = np.random.default_rng(20261019)
+    bound = (math.sqrt(5) + 5) * U
+    for m in range(1, 11):
+        for _ in range(3):
+            x, y = _rand_block(rng, 1 << m), _rand_block(rng, 1 << m)
+            got, scale = invariant._form(x, y), _block_magnitude(x, y)
+            assert abs(got - _form(x, y)) <= bound * scale, m
+            assert abs(invariant._form(y, x) - (-1) ** m * got) <= 2 * bound * scale, m
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 4), (3, 1), (2, 5), (5, 5)])
+def test_kernel_factors_over_tensor_products(p, q):
+    # B(x (x) y, u (x) v) = B(x, u) B(y, v), as tm(j) = tm(j1) tm(j2) for
+    # j = j1 * 2**q + j2.  First-order rounding: each side's kernel bound
+    # on the product magnitude, plus sqrt(5) u for the Kronecker entries
+    # and for the product of the two factors.
+    rng = np.random.default_rng(20261021 + 16 * p + q)
+    bound = (3 * (math.sqrt(5) + 5) + 3 * math.sqrt(5)) * U
+    for _ in range(3):
+        x, u = _rand_block(rng, 1 << p), _rand_block(rng, 1 << p)
+        y, v = _rand_block(rng, 1 << q), _rand_block(rng, 1 << q)
+        whole = invariant._form(np.kron(x, y), np.kron(u, v))
+        factors = invariant._form(x, u) * invariant._form(y, v)
+        scale = _block_magnitude(x, u) * _block_magnitude(y, v)
+        assert abs(whole - factors) <= bound * scale, (p, q)
 
 
 # --- tau --------------------------------------------------------------------
