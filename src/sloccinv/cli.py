@@ -98,9 +98,11 @@ def cmd_make(args) -> int:
     return 0
 
 
-_ROWS = "@rows@"  # a document's one long list, until _dumps spells it out row by row
+_ROWS, _D_ROWS = "@rows@", "@d-rows@"  # a document's long lists, until _dumps spells them out
 _WRITE_ROWS = 4096  # list entries per stdout write of _dumps
 _F_ROW = {"subscripts": ["%s"] * 8, "value": ["%s"] * 2, "vanishing": "%s"}
+_D_ROW = {"i": "%s", "d1": ["%s"] * 2, "d2": ["%s"] * 2, "d3": ["%s"] * 2,
+          "vanishing": ["%s"] * 3}
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)  # a flag's "%s" spelling, by index
 
 
@@ -109,49 +111,57 @@ def _pair(value):
     return [value.real, value.imag] if isinstance(value, complex) else value
 
 
-def _dumps(doc: dict, row=None, columns=None) -> None:
-    """Write json.dumps(doc, indent=2) and a newline to stdout, with the _ROWS
-    value in doc spelled out as a list.
+def _dumps(doc: dict, *slots) -> None:
+    """Write json.dumps(doc, indent=2) and a newline to stdout, with each slot's
+    marker value in doc spelled out as a list.
 
-    Each list entry is `row`, a JSON template with "%s" leaves, filled from
-    one line of the equal-length 1-D arrays that columns() returns.
-    columns() runs, and raises any error, after doc is encoded and before
-    the first byte is written.  The list goes out in blocks of _WRITE_ROWS
-    entries, each converted to Python values only when written, so neither
-    the report nor its values as Python objects are ever whole in memory.
+    A slot is (marker, row, columns): each list entry is `row`, a JSON
+    template with "%s" leaves, filled from one line of the equal-length
+    1-D arrays that columns() returns.  Every columns() of a marker in doc
+    runs, and raises any error, after doc is encoded and before the first
+    byte is written.  A list goes out in blocks of _WRITE_ROWS entries,
+    each converted to Python values only when written, so neither the
+    report nor its values as Python objects are ever whole in memory.
     """
     text = json.dumps(doc, indent=2)
-    at = text.find(json.dumps(_ROWS))
-    if at < 0:
-        sys.stdout.write(text + "\n")
-        return
-    line = text[text.rfind("\n", 0, at) + 1:at]
-    indent = " " * (len(line) - len(line.lstrip(" ")))
-    entry = textwrap.indent(json.dumps(row, indent=2).replace('"%s"', "%s"), indent + "  ")
-    cols = columns()
-    sys.stdout.write(text[:at] + "[\n")
-    for lo in range(0, len(cols[0]), _WRITE_ROWS):
-        rows = zip(*(col[lo:lo + _WRITE_ROWS].tolist() for col in cols))
-        sys.stdout.write((",\n" if lo else "") + ",\n".join(map(entry.__mod__, rows)))
-    sys.stdout.write(f"\n{indent}]{text[at + len(_ROWS) + 2:]}\n")
+    found = sorted((at, json.dumps(marker), row, columns) for marker, row, columns in slots
+                   if (at := text.find(json.dumps(marker))) >= 0)
+    lists = [(at, quoted, row, columns()) for at, quoted, row, columns in found]
+    end = 0
+    for at, quoted, row, cols in lists:
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        indent = " " * (len(line) - len(line.lstrip(" ")))
+        entry = textwrap.indent(json.dumps(row, indent=2).replace('"%s"', "%s"), indent + "  ")
+        sys.stdout.write(text[end:at] + "[\n")
+        for lo in range(0, len(cols[0]), _WRITE_ROWS):
+            rows = zip(*(col[lo:lo + _WRITE_ROWS].tolist() for col in cols))
+            sys.stdout.write((",\n" if lo else "") + ",\n".join(map(entry.__mod__, rows)))
+        sys.stdout.write(f"\n{indent}]")
+        end = at + len(quoted)
+    sys.stdout.write(text[end:] + "\n")
 
 
-def _f_columns(sig: criteria.CriteriaSignature) -> list[np.ndarray]:
-    """sig's F entries as the columns of _F_ROW; "%s" spells a finite float as json does."""
-    return [*sig.f_tuples.T, sig.f.re, sig.f.im, _JSON_BOOLS[sig.f.vanishing.view(np.int8)]]
+def _signature_slots(sig: criteria.CriteriaSignature) -> tuple:
+    """The _dumps slots of sig's D and F entries; "%s" spells a finite float as json does."""
+    def d_columns():
+        d = sig.d
+        flags = _JSON_BOOLS[d.vanishing.view(np.int8)]
+        return [np.arange(len(d.re)), *(part[:, c] for c in range(3) for part in (d.re, d.im)),
+                *flags.T]
+
+    def f_columns():
+        return [*sig.f_tuples.T, sig.f.re, sig.f.im, _JSON_BOOLS[sig.f.vanishing.view(np.int8)]]
+
+    return (_D_ROWS, _D_ROW, d_columns), (_ROWS, _F_ROW, f_columns)
 
 
 def _signature_doc(sig: criteria.CriteriaSignature) -> dict:
-    """The signature with its F entries as the _ROWS slot."""
-    d_pairs = np.stack([sig.d.re, sig.d.im], axis=-1).tolist()
-    d_entries = [
-        {"i": i, "d1": pairs[0], "d2": pairs[1], "d3": pairs[2], "vanishing": flags}
-        for i, (pairs, flags) in enumerate(zip(d_pairs, sig.d.vanishing.tolist()))
-    ]
+    """The signature with its D entries as the _D_ROWS slot and its F entries
+    as the _ROWS slot."""
     return {
         "n": sig.n,
         "tol": sig.tol,
-        "d_criteria": d_entries,
+        "d_criteria": _D_ROWS if len(sig.d.re) else [],
         "f_criteria": _ROWS if sig.f_included else None,
         "f_included": sig.f_included,
         "note": ("F tuples whose shifted subscripts (j-1/l+1/q-1/s+1 for odd i+j, "
@@ -180,7 +190,7 @@ def cmd_invariant(args) -> int:
         values = {label: _pair(oracle.evaluate(label, s)) for label in oracle.labels_for(s.n)}
         if values:
             doc["oracle"] = values
-    _dumps(doc, _F_ROW, lambda: _f_columns(sig))
+    _dumps(doc, *_signature_slots(sig))
     return 0
 
 
@@ -208,7 +218,7 @@ def cmd_criteria(args) -> int:
                      "j-2/l+2/q-2/s+2 for even i+j) fall outside [0, 2^n - 1] "
                      "are excluded"),
         }
-        _dumps(doc, ["%s"] * 8, lambda: tuples.T)
+        _dumps(doc, (_ROWS, ["%s"] * 8, lambda: tuples.T))
         return 0
     if args.input is None:
         raise BadArgs("criteria requires --input (or the enumerate action)")
@@ -220,7 +230,7 @@ def cmd_criteria(args) -> int:
     doc = _signature_doc(sig)
     if args.set == "f":
         doc["d_criteria"] = []
-    _dumps(doc, _F_ROW, lambda: _f_columns(sig))
+    _dumps(doc, *_signature_slots(sig))
     return 0
 
 

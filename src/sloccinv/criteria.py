@@ -21,9 +21,12 @@ vanishing masks.  A pair u < v is fixed by its class (A, X) =
 (u & v, u ^ v) and a split of X's bits, so `f_enumerate` writes the F
 tuples class by class into one array of exactly `_f_count(n)` rows,
 sorts it stably on (i+j, i) and caches it read-only.
-D values come from the (blocks, 8) views of the front half and the
-mirrored back half, F values from one gather per subscript column of
-each block of _F_BLOCK rows, written into two preallocated arrays.
+Both families are evaluated in row blocks, each written into two
+preallocated arrays: D in blocks of _D_BLOCK rows of the (blocks, 8)
+views of the front half and the mirrored back half, F in blocks of
+_F_BLOCK rows with one gather per subscript column.  A block's
+amplitudes are scaled by 2**-k, exactly, as they are read, so no scaled
+copy of the state is made.
 Every complex operation is spelled out on float64 real and imaginary
 arrays exactly as numpy's scalar complex arithmetic rounds it: products
 without fused multiply-add, `z ** 2` as z * z except that an exact zero
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, TooFewQubits
 from .invariant import DEFAULT_TOL, CriterionValues, _decide
-from .statevec import StateVector, _scaled
+from .statevec import StateVector, _exponent, _norm_squared
 
 
 # Complex arithmetic on (re, im) pairs of float64 arrays, rounded op for
@@ -76,21 +79,26 @@ _D_MINORS = (((1, 4, 0, 5), (3, 6, 2, 7)),
              ((3, 5, 1, 7), (2, 4, 0, 6)))
 
 
-def _d_values(amplitudes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) arrays of shape (2**(n-4), 3): row i holds D1..D3 of block i."""
+def _d_values(amplitudes: np.ndarray, n: int, lo: int = 0, hi: int | None = None,
+              exponent: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) arrays of shape (hi - lo, 3): row i - lo holds D1..D3 of block i
+    of 2**-exponent * amplitudes, for the rows [lo, hi) of 2**(n-4) (all by default)."""
     if n < 4:
         raise TooFewQubits(f"D-criteria need n >= 4, got {n}")
-    count = 1 << (n - 4)
     blocks = amplitudes.reshape(-1, 8)
-    lo, hi = blocks[:count], blocks[::-1][:count]  # hi[i] = a[2^n - 8i - 8 : 2^n - 8i]
+    hi = 1 << (n - 4) if hi is None else hi
+    front, back = blocks[lo:hi], blocks[::-1][lo:hi]  # back[i-lo] = a[2^n-8i-8 : 2^n-8i]
+    if exponent:  # scale the block's rows, exactly
+        front, back = (np.ldexp(b.view(np.float64), -exponent).view(np.complex128)
+                       for b in (front, back))
 
     def minor(b, w, x, y, z):
         re, im = b.real, b.imag
         return _sub(_mul((re[:, w], im[:, w]), (re[:, x], im[:, x])),
                     _mul((re[:, y], im[:, y]), (re[:, z], im[:, z])))
 
-    values = [_sub(_mul(minor(lo, *p), minor(hi, *q)), _mul(minor(lo, *q), minor(hi, *p)))
-              for p, q in _D_MINORS]
+    values = [_sub(_mul(minor(front, *p), minor(back, *q)),
+                   _mul(minor(front, *q), minor(back, *p))) for p, q in _D_MINORS]
     return (np.stack([re for re, _ in values], axis=1),
             np.stack([im for _, im in values], axis=1))
 
@@ -164,12 +172,14 @@ def f_evaluate(s: StateVector, t) -> complex:
     return complex(head - tail)
 
 
-def _f_values(amplitudes: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of f_evaluate at every row of `tuples`, bit for bit."""
+def _f_values(amplitudes: np.ndarray, tuples: np.ndarray,
+              exponent: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of f_evaluate at every row of `tuples` on 2**-exponent * amplitudes,
+    bit for bit; each gather is scaled, exactly, as it is made."""
     re, im = amplitudes.real, amplitudes.imag
 
     def amp(idx):
-        return re[idx], im[idx]
+        return np.ldexp(re[idx], -exponent), np.ldexp(im[idx], -exponent)
 
     i, j, k, l, p, q, r, s = tuples.T
     d = 2 - (i + j) % 2
@@ -182,6 +192,7 @@ def _f_values(amplitudes: np.ndarray, tuples: np.ndarray) -> tuple[np.ndarray, n
 
 _F_SIGNATURE_MAX_N = 6  # tuple counts explode past this; override explicitly
 _F_BLOCK = 1 << 14  # tuple rows per _f_values call: its temporaries stay block-sized
+_D_BLOCK = 1 << 10  # D rows per _d_values call, 256 KiB of scaled blocks; splits n=18's 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +212,16 @@ class CriteriaSignature:
     f_included: bool
 
 
+def _in_blocks(shape: tuple, block: int, values) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) float64 arrays of the given shape, filled `block` rows at a time
+    from values(lo, hi), the (re, im) of rows [lo, hi)."""
+    re, im = np.empty(shape), np.empty(shape)
+    for lo in range(0, shape[0], block):
+        hi = min(lo + block, shape[0])
+        re[lo:hi], im[lo:hi] = values(lo, hi)
+    return re, im
+
+
 def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
                        include_f: bool | None = None) -> CriteriaSignature:
     """Evaluate every criterion, a degree-4 value each, decided on the exactly
@@ -208,20 +229,18 @@ def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
 
     include_f defaults to n <= 6 (the F family grows combinatorially).
     """
-    scaled, k = _scaled(s)
-    nsq = scaled.norm_squared()
-    empty = np.empty((0, 3))
-    d_parts = _d_values(scaled.amplitudes, s.n) if s.n >= 4 else (empty, empty)
-    d = _decide(*d_parts, nsq, tol, 4, k)
+    a = s.amplitudes
+    k = _exponent(a)
+    nsq = _norm_squared(a, k)
+    d_rows = 1 << (s.n - 4) if s.n >= 4 else 0
+    d = _decide(*_in_blocks((d_rows, 3), _D_BLOCK, lambda lo, hi: _d_values(a, s.n, lo, hi, k)),
+                nsq, tol, 4, k)
     if include_f is None:
         include_f = s.n <= _F_SIGNATURE_MAX_N
     f_included = bool(include_f and s.n >= 3)
     tuples = f_enumerate(s.n) if f_included else np.empty((0, 8), dtype=np.int64)
-    re, im = np.empty(len(tuples)), np.empty(len(tuples))
-    for lo in range(0, len(tuples), _F_BLOCK):
-        hi = lo + _F_BLOCK
-        re[lo:hi], im[lo:hi] = _f_values(scaled.amplitudes, tuples[lo:hi])
-    f = _decide(re, im, nsq, tol, 4, k)
+    f = _decide(*_in_blocks((len(tuples),), _F_BLOCK,
+                            lambda lo, hi: _f_values(a, tuples[lo:hi], k)), nsq, tol, 4, k)
     return CriteriaSignature(n=s.n, tol=tol, d=d, f_tuples=tuples, f=f,
                              f_included=f_included)
 

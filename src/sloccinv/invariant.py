@@ -23,10 +23,13 @@ states (W, single-qubit tensor factors) evaluate to clean zeros and
 results are reproducible bit-for-bit; a term array of at most _LANES
 floats has one float per lane and sums exactly as math.fsum does.
 
-One helper, `_decide`, makes every vanishing decision and unscales every
-value that `invariant_report` and `criteria.criteria_signature` report,
-and raises NormOverflow rather than report a value that is not finite.
-`tau`, the `iv_*` functions and `odd_invariant` are raw evaluations.
+The reports decide on the exactly scaled state 2**-k * s, with k from
+`statevec._exponent`, but never build it: `_form(x, y, k)` scales each
+slab it reads, and the norm is summed over scaled slabs too.  One helper,
+`_decide`, makes every vanishing decision and unscales every value that
+`invariant_report` and `criteria.criteria_signature` report, and raises
+NormOverflow rather than report a value that is not finite.  `tau`, the
+`iv_*` functions and `odd_invariant` are raw evaluations.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import NormOverflow, ParityError, TooFewQubits
 from .signtab import sign_table
-from .statevec import StateVector, _scaled
+from .statevec import StateVector, _exponent, _norm_squared
 
 DEFAULT_TOL = 1e-10   # vanishing threshold, scaled by the norm (see `vanishing`)
 
@@ -87,31 +90,41 @@ class _CompensatedAccumulator:
         return complex(re, im)
 
 
-def _form(x: np.ndarray, y: np.ndarray) -> complex:
-    """B(x, y) of two blocks of M = 2**m >= 2 amplitudes, as 2**max(m-2, 0) terms.
+def _form(x: np.ndarray, y: np.ndarray, k: int = 0) -> complex:
+    """B(2**-k x, 2**-k y) of two blocks of M = 2**m >= 2 amplitudes, as
+    2**max(m-2, 0) terms.
 
     Term i is tm(i) * (outer_i +- inner_i).  outer_i = x_{2i} y_{M-1-2i} -
     x_{2i+1} y_{M-2-2i} joins terms 2i and 2i+1 of B; inner_i = outer_{M/2-1-i}
     has the sign tm(i) * (-1)**(m-1), so it is added for odd m, subtracted for even m.
+    A slab of terms reads four contiguous regions: the heads x[2lo:2hi] and
+    y[2lo:2hi] and their mirrored tails.  For k != 0 they are scaled, exactly,
+    into one preallocated buffer first, so no scaled copy of x or y is made.
     """
     size = x.size
     mirrored = size >> 2  # terms with an inner term: all but the one of m=1
     count = max(mirrored, 1)
-    e1, o1, e2, o2 = x[0::2], y[::-2], x[1::2], y[-2::-2]
-    m1, m2, m3, m4 = (v[:mirrored] for v in (x[-2::-2], y[1::2], x[::-2], y[0::2]))
     m = size.bit_length() - 1
     signs = sign_table(m + 1)
     fold = np.add if m % 2 else np.subtract
     step = min(count, _LANES // 2)  # 64 KiB of terms
     buf = np.empty((3, step), dtype=np.complex128)
+    scaled = np.empty((4, 2 * step), dtype=np.complex128) if k else None
     acc = _CompensatedAccumulator()
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         w, wi = hi - lo, min(hi, mirrored) - lo
-        t = np.multiply(e1[lo:hi], o1[lo:hi], out=buf[0, :w])
-        t -= np.multiply(e2[lo:hi], o2[lo:hi], out=buf[2, :w])
-        inner = np.multiply(m1[lo:hi], m2[lo:hi], out=buf[1, :wi])
-        inner -= np.multiply(m3[lo:hi], m4[lo:hi], out=buf[2, :wi])
+        head, tail = slice(2 * lo, 2 * hi), slice(size - 2 * hi, size - 2 * lo)
+        regions = x[head], y[head], x[tail], y[tail]
+        if k:
+            for region, out in zip(regions, scaled):
+                np.ldexp(region.view(np.float64), -k, out=out[:2 * w].view(np.float64))
+            regions = scaled[:, :2 * w]
+        xh, yh, xt, yt = regions
+        t = np.multiply(xh[0::2], yt[::-2], out=buf[0, :w])
+        t -= np.multiply(xh[1::2], yt[-2::-2], out=buf[2, :w])
+        inner = np.multiply(xt[-2::-2][:wi], yh[1::2][:wi], out=buf[1, :wi])
+        inner -= np.multiply(xt[::-2][:wi], yh[0::2][:wi], out=buf[2, :wi])
         fold(t[:wi], inner, out=t[:wi])
         t *= signs[lo:hi]
         acc.add(t)
@@ -151,17 +164,17 @@ def iv_star_shifted(s: StateVector) -> complex:
     return _form(*s.amplitudes.reshape(2, 2, -1)[1])
 
 
-def _odd_parts(s: StateVector) -> tuple[complex, complex, complex, complex]:
-    """IVbar, IV*(lower), IV*(upper) and IVbar**2 - 4 * IV*(lower) * IV*(upper)."""
-    bar = iv_bar(s)
-    low, high = (_form(*half) for half in s.amplitudes.reshape(2, 2, -1))
+def _odd_parts(bar: complex, a: np.ndarray, k: int = 0) -> tuple[complex, ...]:
+    """bar = IVbar of 2**-k * a, then IV*(lower), IV*(upper) and
+    bar**2 - 4 * IV*(lower) * IV*(upper) of 2**-k * a."""
+    low, high = (_form(*half, k) for half in a.reshape(2, 2, -1))
     return bar, low, high, bar * bar - 4.0 * low * high
 
 
 def odd_invariant(s: StateVector) -> complex:
     """IVbar**2 - 4 * IV*(lower) * IV*(upper) for odd n >= 3."""
     _check_odd(s, "odd_invariant")
-    return _odd_parts(s)[3]
+    return _odd_parts(iv_bar(s), s.amplitudes)[3]
 
 
 def tau(s: StateVector) -> float:
@@ -212,8 +225,9 @@ class CriterionValues(NamedTuple):
 
 def _decide(re: np.ndarray, im: np.ndarray, norm_squared: float, tol: float,
             degree: int, k: int) -> CriterionValues:
-    """Decide degree-d values v of the scaled 2**-k * s of statevec._scaled,
-    whose squared norm is norm_squared, and unscale them.
+    """Decide degree-d values v of the scaled state 2**-k * s, k =
+    statevec._exponent, whose squared norm is norm_squared, and unscale
+    them in place: re and im become the raw values.
 
     v vanishes when |v| <= vanishing_threshold(norm_squared, tol, d), so
     s and 2**j * s get bit-identical decisions; it is reported raw, as
@@ -223,12 +237,13 @@ def _decide(re: np.ndarray, im: np.ndarray, norm_squared: float, tol: float,
     magnitude = np.hypot(re, im)
     vanishing = magnitude <= vanishing_threshold(norm_squared, tol, degree)
     e = k * degree
+    top = magnitude.max(initial=0.0)
     with np.errstate(over="ignore"):
-        raw = [np.ldexp(x, e) for x in (re, im, magnitude)]
-    if not np.isfinite(raw[2]).all():  # ldexp is monotone: covers re and im
-        raise NormOverflow(f"raw value |v| = {magnitude.max():.6g} * 2**{e} is too large "
-                           "for a float")
-    return CriterionValues(*raw, vanishing)
+        if not np.isfinite(np.ldexp(top, e)):  # ldexp is monotone: covers every part
+            raise NormOverflow(f"raw value |v| = {top:.6g} * 2**{e} is too large for a float")
+        for x in (re, im, magnitude):
+            np.ldexp(x, e, out=x)
+    return CriterionValues(re, im, magnitude, vanishing)
 
 
 @dataclass(frozen=True)
@@ -256,19 +271,20 @@ def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantRepor
     """
     if s.n < 2:
         raise TooFewQubits(f"invariant_report needs n >= 2, got {s.n}")
-    scaled, k = _scaled(s)
-    nsq = scaled.norm_squared()
+    a = s.amplitudes
+    k = _exponent(a)
+    nsq = _norm_squared(a, k)
 
     def decide(degree: int, values: list) -> CriterionValues:
         v = np.array(values, dtype=np.complex128)
         return _decide(v.real, v.imag, nsq, tol, degree, k)
 
     if s.n % 2 == 0:
-        star = iv_star(scaled)
+        star = _form(*a.reshape(2, -1), k)
         top = decide(2, [star, 2.0 * abs(star)])  # IV* and tau
         fields = {"iv_star": (top, 0)}
     else:
-        bar, low, high, combo = _odd_parts(scaled)
+        bar, low, high, combo = _odd_parts(_form(*a.reshape(2, -1), k), a, k)
         top = decide(4, [combo, 4.0 * abs(combo)])  # the odd invariant and tau
         halves = decide(2, [low, bar, high])
         fields = {"iv_star": (halves, 0), "iv_bar": (halves, 1),

@@ -36,20 +36,26 @@ class StateVector:
     amplitudes: np.ndarray
 
     def norm_squared(self) -> float:
-        slab = np.empty(min(_DRAW_SLAB, self.amplitudes.size))
-        return _sum_of_squares(self.amplitudes, slab)
+        return _norm_squared(self.amplitudes)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
 
-def _sum_of_squares(amps: np.ndarray, slab: np.ndarray) -> float:
-    """|amps|^2 in a fixed order that no BLAS thread count changes: np.add.reduce
-    over each slab.size-float row of squares (slab.size divides the float count),
-    the rows combined by math.fsum."""
+def _norm_squared(amps: np.ndarray, k: int = 0) -> float:
+    """|2**-k * amps|^2 through one slab of min(_DRAW_SLAB, amps.size) floats."""
+    return _sum_of_squares(amps, np.empty(min(_DRAW_SLAB, amps.size)), k)
+
+
+def _sum_of_squares(amps: np.ndarray, slab: np.ndarray, k: int = 0) -> float:
+    """|2**-k * amps|^2 in a fixed order that no BLAS thread count changes: each
+    slab.size-float row (slab.size divides the float count) is scaled into slab,
+    exactly, squared and summed by np.add.reduce, and the rows are combined by
+    math.fsum.  No scaled copy of amps is made."""
     rows = amps.view(np.float64).reshape(-1, slab.size)
     with np.errstate(over="ignore"):  # an inf norm is a result: callers refuse or print it
-        return math.fsum(np.add.reduce(np.square(row, out=slab)) for row in rows)
+        return math.fsum(np.add.reduce(np.square(np.ldexp(row, -k, out=slab), out=slab))
+                         for row in rows)
 
 
 def _wrap(n: int, amplitudes: np.ndarray) -> StateVector:
@@ -78,28 +84,34 @@ def new_state(n: int, amplitudes) -> StateVector:
     return _wrap(n, amps)
 
 
-def _scaled(s: StateVector) -> tuple[StateVector, int]:
-    """(2**-k * s, k) with k the binary exponent of the largest real or imaginary
-    part, so that part of the result is in [1/2, 1).
+def _exponent(amps: np.ndarray) -> int:
+    """The binary exponent k of the largest real or imaginary part of amps, so
+    that part of 2**-k * amps is in [1/2, 1).
 
-    The scaling is exact: a degree-d value of the result is exactly
-    2**(-k*d) times that of s unless it underflows, and the result's norm
-    neither overflows nor underflows, even where |a| of s is not a finite float.
+    Scaling by 2**-k is exact: a degree-d value of 2**-k * amps is exactly
+    2**(-k*d) times that of amps unless it underflows, and the scaled norm
+    neither overflows nor underflows, even where |a| is not a finite float.
+    The reports read amps through slabs scaled by 2**-k; none holds a scaled copy.
     """
-    parts = s.amplitudes.view(np.float64)
-    k = math.frexp(max(parts.max(), -parts.min()))[1]
-    return _wrap(s.n, np.ldexp(parts, -k).view(np.complex128)), k
+    parts = amps.view(np.float64)
+    return math.frexp(max(parts.max(), -parts.min()))[1]
 
 
 def normalize(s: StateVector) -> StateVector:
-    """Rescale to unit norm. A no-op (same object) when already within 1e-15 of 1."""
-    scaled, k = _scaled(s)
-    nrm = scaled.norm()
+    """Rescale to unit norm. A no-op (same object) when already within 1e-15 of 1.
+
+    The norm is taken of 2**-k * s, k = _exponent, and that scaled state is
+    divided by it, so amplitudes anywhere in the float range normalize.
+    """
+    k = _exponent(s.amplitudes)
+    nrm = math.sqrt(_norm_squared(s.amplitudes, k))
     if nrm == 0.0:
         raise AllZero("cannot normalize the zero vector")
     if k <= 1 and abs(math.ldexp(nrm, k) - 1.0) <= _RESCALE_TOL:  # nrm >= 1/2: norm 1 needs k <= 1
         return s
-    return _wrap(s.n, scaled.amplitudes / nrm)
+    out = np.ldexp(s.amplitudes.view(np.float64), -k).view(np.complex128)
+    out /= nrm  # in place: the one output array
+    return _wrap(s.n, out)
 
 
 def ghz(n: int) -> StateVector:
@@ -217,7 +229,7 @@ def from_json_dict(doc) -> StateVector:
 
 
 _WS = json.decoder.WHITESPACE.match  # JSON whitespace, [ \t\n\r]*
-_LOAD_SLAB = 1 << 18  # characters per read and per decode call of load_state
+_LOAD_SLAB = 1 << 16  # characters per read and per decode call of load_state
 
 # save_state's layout: _HEAD % n, the [re, im] pairs joined by ", ", _TAIL and "\n"
 _HEAD, _TAIL = '{"n": %d, "amplitudes": [', "]}"
@@ -312,7 +324,7 @@ def load_state(path, check_n=None) -> StateVector:
     return from_json_dict(_read_json(path))
 
 
-_SAVE_SLAB = 1 << 14  # amplitudes per json.dumps call of save_state
+_SAVE_SLAB = 1 << 12  # amplitudes per json.dumps call of save_state
 
 
 def save_state(s: StateVector, path) -> None:

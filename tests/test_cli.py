@@ -710,7 +710,7 @@ def test_reports_are_written_in_row_blocks(tmp_path):
     doc = cli._signature_doc(sig)
 
     def write():
-        cli._dumps(doc, cli._F_ROW, lambda: cli._f_columns(sig))
+        cli._dumps(doc, *cli._signature_slots(sig))
 
     with redirect_stdout(io.StringIO()) as out:
         write()

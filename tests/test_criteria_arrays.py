@@ -29,13 +29,13 @@ from sloccinv import (
     vanishing,
     w_state,
 )
-from sloccinv.cli import _F_ROW, _dumps, _f_columns, _signature_doc
+from sloccinv.cli import _dumps, _signature_doc, _signature_slots
 
 
 def render(doc, sig):
-    """doc printed as the CLI prints a document holding sig's F entries, less the newline."""
+    """doc printed as the CLI prints a document holding sig's D and F entries, less the newline."""
     with redirect_stdout(io.StringIO()) as out:
-        _dumps(doc, _F_ROW, lambda: _f_columns(sig))
+        _dumps(doc, *_signature_slots(sig))
     text = out.getvalue()
     assert text.endswith("\n")
     return text[:-1]

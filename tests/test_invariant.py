@@ -1,6 +1,8 @@
 """Invariant values, tau, scaling laws, and the compensated summation core."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from sloccinv import (
     TooFewQubits,
     cluster_c,
     complement,
+    criteria_signature,
     ghz,
     invariant_report,
     iv_bar,
@@ -18,6 +21,7 @@ from sloccinv import (
     iv_star_shifted,
     new_state,
     odd_invariant,
+    random_state,
     tau,
     tensor,
     vanishing,
@@ -240,6 +244,50 @@ def test_kernel_matches_the_thue_morse_form_on_unrelated_blocks():
             got, scale = invariant._form(x, y), _block_magnitude(x, y)
             assert abs(got - _form(x, y)) <= bound * scale, m
             assert abs(invariant._form(y, x) - (-1) ** m * got) <= 2 * bound * scale, m
+
+
+@pytest.mark.parametrize("k", [-1000, -7, 0, 3, 1000])
+def test_kernel_scales_its_slabs_exactly(k):
+    # _form(x, y, k) scales the regions it reads by 2**-k before any product,
+    # so it equals the kernel on the scaled blocks bit for bit.  At k = +-1000
+    # the unscaled products overflow or underflow, so the scaling decides the value.
+    rng = np.random.default_rng(20261019 + k)
+    for m in range(1, 11):
+        x, y = (np.ldexp(_rand_block(rng, 1 << m).view(np.float64), k).view(np.complex128)
+                for _ in range(2))
+        x[rng.integers(x.size)] = 0  # an exact zero among the parts
+        scaled = [np.ldexp(v.view(np.float64), -k).view(np.complex128) for v in (x, y)]
+        got, want = invariant._form(x, y, k), invariant._form(*scaled)
+        assert np.array([got]).view(np.uint64).tolist() == \
+            np.array([want]).view(np.uint64).tolist(), m
+        halves = x.reshape(2, -1) if m > 1 else None
+        if halves is not None:  # two views of one array, as the reports pass them
+            assert invariant._form(*halves, k) == invariant._form(*scaled[0].reshape(2, -1))
+        with np.errstate(all="ignore"):
+            raw = invariant._form(x, y)
+        if k == 1000:
+            assert not np.isfinite(raw), m
+        elif k == -1000:
+            assert raw == 0 and want != 0, m
+
+
+def test_reports_hold_no_scaled_copy_of_the_state():
+    # the reports read 2**-k * s through fixed-size slabs (the norm's 512 KiB
+    # slab, the kernel's buffers, D's blocks), some 1.1 MiB in all, which is
+    # more than an n=16 vector; at n=20 a scaled copy is 16 MiB, the slabs
+    # under a tenth of it.  Beyond its D outputs, a report holds less than a
+    # quarter of the vector.
+    s = random_state(20, 1)
+    for report in (invariant_report, partial(criteria_signature, include_f=False)):
+        report(s)  # the sign tables are cached, not counted
+        tracemalloc.start()
+        try:
+            result = report(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(x.nbytes for x in result.d) if hasattr(result, "d") else 0
+        assert peak - outputs < s.amplitudes.nbytes / 4, (report, peak, outputs)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (1, 4), (3, 1), (2, 5), (5, 5)])

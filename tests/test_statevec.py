@@ -576,13 +576,13 @@ def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
 
 def test_save_state_holds_no_copy_of_the_vector(tmp_path):
     # the [re, im] rows are a view of the amplitudes, and the encoder holds
-    # one slab of lists and text at a time; the encoder's peak, some 5.7 MiB,
-    # does not grow with n, so the 8 MiB n=19 vector is the smallest that
-    # still tells it apart from a copy
-    s = random_state(19, 1)
+    # one slab of lists and text at a time; the encoder's peak, some 1.5 MiB
+    # with 2**12-amplitude slabs, does not grow with n, so the 4 MiB n=18
+    # vector tells it apart from a copy with room to spare
+    s = random_state(18, 1)
     tracemalloc.start()
     try:
-        save_state(s, tmp_path / "r19.json")
+        save_state(s, tmp_path / "r18.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -594,22 +594,35 @@ def test_save_state_holds_no_copy_of_the_vector(tmp_path):
     ([1e-300, 0, 0, 2e-300j], -995), ([1e300, 0, 0, 0], 997)])
 def test_scaled_is_an_exact_power_of_two(amplitudes, k):
     s = new_state(2, amplitudes)
-    scaled, got = statevec._scaled(s)
+    got = statevec._exponent(s.amplitudes)
     assert got == k
-    assert 0.5 <= np.max(np.abs(scaled.amplitudes)) < 1.0
-    np.testing.assert_array_equal(np.ldexp(scaled.amplitudes.view(np.float64), k),
-                                  s.amplitudes.view(np.float64))
+    scaled = np.ldexp(s.amplitudes.view(np.float64), -k)
+    assert 0.5 <= np.max(np.abs(scaled.view(np.complex128))) < 1.0
+    np.testing.assert_array_equal(np.ldexp(scaled, k), s.amplitudes.view(np.float64))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_scaled_takes_k_from_the_largest_part(n):
     # max|a| is inf here, while the largest part 1.5e308 has exponent 1024
     s = new_state(n, TOP_OF_RANGE[n])
-    scaled, k = statevec._scaled(s)
+    k = statevec._exponent(s.amplitudes)
     assert k == 1024
-    assert np.isfinite(scaled.norm_squared())
-    np.testing.assert_array_equal(np.ldexp(scaled.amplitudes.view(np.float64), k),
-                                  s.amplitudes.view(np.float64))
+    assert np.isfinite(statevec._norm_squared(s.amplitudes, k))
+    scaled = np.ldexp(s.amplitudes.view(np.float64), -k)
+    np.testing.assert_array_equal(np.ldexp(scaled, k), s.amplitudes.view(np.float64))
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.7, 1e-300, 1e300])
+def test_scaled_sum_of_squares_is_the_norm_of_the_scaled_copy(factor):
+    # rows of the same min(_DRAW_SLAB, size) floats, each scaled into the slab:
+    # the bits of the fixed-order norm of a scaled copy, which is never built
+    for n in range(1, 21):
+        s = new_state(n, factor * random_state(n, n).amplitudes)
+        k = statevec._exponent(s.amplitudes)
+        copy = np.ldexp(s.amplitudes.view(np.float64), -k)
+        rows = copy.reshape(-1, min(statevec._DRAW_SLAB, 1 << n))
+        want = math.fsum(np.add.reduce(np.square(row)) for row in rows)
+        assert statevec._norm_squared(s.amplitudes, k).hex() == want.hex(), n
 
 
 def test_save_state_refuses_states_load_state_rejects(tmp_path):
