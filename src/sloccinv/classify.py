@@ -9,12 +9,13 @@ heuristic flags, never as a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import criteria_signature
-from .errors import BadWitness, SizeMismatch
-from .invariant import DEFAULT_TOL, CriterionValues, invariant_report
+from .errors import BadWitness, SizeMismatch, SloccInvError
+from .invariant import DEFAULT_TOL, CriterionValues, InvariantReport, invariant_report
 from .slocc import INVERTIBLE_TOL, LocalOperatorChain, apply_chain, sigma_x_chain
 from .statevec import StateVector, complement
 
@@ -40,16 +41,47 @@ class Verdict:
     witness: LocalOperatorChain | None = None
 
 
-def _tau_evidence(s1: StateVector, s2: StateVector, tol: float):
-    """tau, the value it is built from and their shared vanishing flags, per state."""
-    r1, r2 = invariant_report(s1, tol), invariant_report(s2, tol)
-    name = "iv_star" if r1.parity == "even" else "odd_invariant"
-    v1, v2 = r1.vanishing["tau"], r2.vanishing["tau"]
-    records = (
-        Evidence("tau", (r1.tau, r2.tau), (v1, v2)),
-        Evidence(name, (getattr(r1, name), getattr(r2, name)), (v1, v2)),
-    )
-    return records, v1, v2
+class _StateEvidence(NamedTuple):
+    """What a verdict needs of one state: its n, its invariant report and the
+    (D, F, F tuples) of its flags (None below n = 3), the D and F values kept
+    as vanishing masks and magnitudes.  A part whose evaluation raised holds
+    the error instead, for _verdict to raise where the value is needed."""
+
+    n: int
+    report: InvariantReport | Exception
+    criteria: tuple | None | Exception
+
+
+def _held(evaluate, *args):
+    """evaluate(*args), or the error it raised that the CLI reports as one
+    line, without its traceback, whose frames would keep the state alive."""
+    try:
+        return evaluate(*args)
+    except (SloccInvError, MemoryError) as exc:
+        return exc.with_traceback(None)
+
+
+def _value(part):
+    if isinstance(part, Exception):
+        raise part
+    return part
+
+
+def _criteria(s: StateVector, tol: float):
+    if s.n < 3:
+        return None
+    sig = criteria_signature(s, tol, include_f=s.n <= _F_FLAG_MAX_N)
+    return (sig.d._replace(re=None, im=None), sig.f._replace(re=None, im=None), sig.f_tuples)
+
+
+def _evidence(s: StateVector, tol: float) -> _StateEvidence:
+    """Everything a verdict needs of s, evaluated now, so that s can be dropped."""
+    return _StateEvidence(s.n, _held(invariant_report, s, tol), _held(_criteria, s, tol))
+
+
+def _check_sizes(n1: int, n2: int) -> None:
+    if n1 != n2:
+        raise SizeMismatch(f"cannot compare n={n1} with n={n2}")
 
 
 def _differing(v1: CriterionValues, v2: CriterionValues):
@@ -59,17 +91,34 @@ def _differing(v1: CriterionValues, v2: CriterionValues):
                v1.magnitude[where].tolist(), v2.magnitude[where].tolist())
 
 
-def _heuristic_flags(s1: StateVector, s2: StateVector, tol: float) -> tuple[str, ...]:
-    if s1.n < 3:
+def _heuristic_flags(c1, c2) -> tuple[str, ...]:
+    if c1 is None:
         return ()
-    include_f = s1.n <= _F_FLAG_MAX_N
-    sig1 = criteria_signature(s1, tol, include_f=include_f)
-    sig2 = criteria_signature(s2, tol, include_f=include_f)
+    (d1, f1, tuples), (d2, f2, _) = c1, c2
     flags = [f"D{slot + 1}[{i}] vanishing differs: {m1:.3e} vs {m2:.3e}"
-             for i, slot, m1, m2 in _differing(sig1.d, sig2.d)]
-    flags += [f"F{tuple(sig1.f_tuples[row].tolist())} vanishing differs: "
-              f"{m1:.3e} vs {m2:.3e}" for row, m1, m2 in _differing(sig1.f, sig2.f)]
+             for i, slot, m1, m2 in _differing(d1, d2)]
+    flags += [f"F{tuple(tuples[row].tolist())} vanishing differs: "
+              f"{m1:.3e} vs {m2:.3e}" for row, m1, m2 in _differing(f1, f2)]
     return tuple(flags)
+
+
+def _verdict(e1: _StateEvidence, e2: _StateEvidence) -> Verdict:
+    """The verdict on two states from their evidence; an error held in the
+    evidence is raised only where the verdict needs that part: both
+    reports always, the D/F flags only when the tau rule does not decide."""
+    _check_sizes(e1.n, e2.n)
+    r1, r2 = _value(e1.report), _value(e2.report)
+    name = "iv_star" if r1.parity == "even" else "odd_invariant"
+    v1, v2 = r1.vanishing["tau"], r2.vanishing["tau"]
+    records = (
+        Evidence("tau", (r1.tau, r2.tau), (v1, v2)),
+        Evidence(name, (getattr(r1, name), getattr(r2, name)), (v1, v2)),
+    )
+    if v1 != v2:
+        return Verdict(outcome=PROVABLY_INEQUIVALENT, evidence=records,
+                       heuristic_flags=())
+    return Verdict(outcome=UNDETERMINED, evidence=records,
+                   heuristic_flags=_heuristic_flags(_value(e1.criteria), _value(e2.criteria)))
 
 
 def compare(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL,
@@ -79,10 +128,13 @@ def compare(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL,
     ProvablyInequivalent exactly when one tau vanishes and the other does
     not; EquivalentByConstruction only when an explicit invertible chain
     mapping s1 to s2 is supplied.  Everything else is Undetermined, with
-    D/F pattern disagreements attached as informational flags.
+    D/F pattern disagreements attached as informational flags.  Without
+    a witness, each state's evidence (its report, and its D values, and
+    F for n <= 4) is evaluated whole before the verdict is decided, even
+    where tau decides it; an error of an evaluation is raised only where
+    the verdict needs that value.
     """
-    if s1.n != s2.n:
-        raise SizeMismatch(f"cannot compare n={s1.n} with n={s2.n}")
+    _check_sizes(s1.n, s2.n)
     if witness is not None:
         if len(witness) != s1.n:
             raise SizeMismatch(f"witness has {len(witness)} operators for n={s1.n}")
@@ -95,12 +147,7 @@ def compare(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL,
             raise BadWitness("witness chain does not map the first state to the second")
         return Verdict(outcome=EQUIVALENT_BY_CONSTRUCTION, evidence=(),
                        heuristic_flags=(), witness=witness)
-    records, v1, v2 = _tau_evidence(s1, s2, tol)
-    if v1 != v2:
-        return Verdict(outcome=PROVABLY_INEQUIVALENT, evidence=records,
-                       heuristic_flags=())
-    return Verdict(outcome=UNDETERMINED, evidence=records,
-                   heuristic_flags=_heuristic_flags(s1, s2, tol))
+    return _verdict(_evidence(s1, tol), _evidence(s2, tol))
 
 
 def dual_equivalence(s: StateVector) -> tuple[StateVector, LocalOperatorChain]:

@@ -20,8 +20,9 @@ import numpy as np
 from . import classify, criteria, invariant, oracle, signtab, slocc, statevec
 from .errors import BadArgs, SloccInvError
 
-DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply holds two such vectors
-                        # (input, output), a verify trial one; override with --max-n
+DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply, compare, invariant and a
+                        # verify trial hold one such vector at a time, make random none;
+                        # override with --max-n
 VERIFY_GATE = 1e-8
 _F_TUPLE_BYTES = 1024   # tracemalloc peak per F tuple at n=7: enumerate 112 B, --set f 114 B
 _F_BUDGET = 4 << 30     # refuse F work estimated above 4 GiB (every n >= 8)
@@ -91,15 +92,20 @@ def _make_complement(args):
 def cmd_make(args) -> int:
     if "n" in args:  # ghz, w and random: check the cap before allocating 2**n
         _check_vector_n(args.n, args.max_n)
-    s, default = args.build(args)
-    path = args.output or default
-    statevec.save_state(s, path)
-    print(f"n={s.n} norm={s.norm():.17g} -> {path}")
+    if args.kind == "random":  # streamed to the file: the vector is never built
+        path = args.output or f"random_n{args.n}_s{args.seed}.json"
+        n, norm = args.n, statevec._save_random_state(args.n, args.seed, path)
+    else:
+        s, default = args.build(args)
+        path = args.output or default
+        statevec.save_state(s, path)
+        n, norm = s.n, s.norm()
+    print(f"n={n} norm={norm:.17g} -> {path}")
     return 0
 
 
 _ROWS, _D_ROWS = "@rows@", "@d-rows@"  # a document's long lists, until _dumps spells them out
-_WRITE_ROWS = 4096  # list entries per stdout write of _dumps
+_WRITE_ROWS = 1024  # list entries per stdout write of _dumps: about 0.4 MiB of F rows
 _F_ROW = {"subscripts": ["%s"] * 8, "value": ["%s"] * 2, "vanishing": "%s"}
 _D_ROW = {"i": "%s", "d1": ["%s"] * 2, "d2": ["%s"] * 2, "d3": ["%s"] * 2,
           "vanishing": ["%s"] * 3}
@@ -235,9 +241,12 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    s1 = _load(args.state_a, args.max_n)
-    s2 = _load(args.state_b, args.max_n)
-    verdict = classify.compare(s1, s2, args.tol)
+    """classify.compare of the two files, one state at a time: the first
+    state's evidence is evaluated and the state dropped before the second
+    is loaded.  Errors come in compare's order, load errors first."""
+    first = classify._evidence(_load(args.state_a, args.max_n), args.tol)
+    verdict = classify._verdict(first, classify._evidence(_load(args.state_b, args.max_n),
+                                                          args.tol))
     _dumps({
         "outcome": verdict.outcome,
         "evidence": [{"criterion": e.criterion, "values": list(map(_pair, e.values)),
@@ -249,9 +258,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    """apply_chain of the ops file to the input file, bit for bit, folded in
+    place: the loaded vector is this command's own, so it is the output."""
     s = _load(args.input, args.max_n)
     chain = slocc.ops_from_json_dict(statevec._read_json(args.ops))
-    result = slocc.apply_chain(chain, s)
+    slocc._check_length(chain, s.n)
+    x = s.amplitudes
+    x.setflags(write=True)
+    slocc._fold(chain, x, x)
+    result = statevec._wrap(s.n, x)
     statevec.save_state(result, args.output)
     if args.print_dets:
         for idx, d in enumerate(chain.dets.tolist(), start=1):
@@ -315,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("ghz", [n], lambda a: (statevec.ghz(a.n), f"ghz{a.n}.json")),
             ("w", [n], lambda a: (statevec.w_state(a.n), f"w{a.n}.json")),
             ("cluster-c", [], lambda a: (statevec.cluster_c(), "cluster_c.json")),
-            ("random", [n, seed], lambda a: (statevec.random_state(a.n, a.seed),
-                                             f"random_n{a.n}_s{a.seed}.json")),
+            ("random", [n, seed], None),
             ("product", [], _make_product),
             ("complement", [], _make_complement)):
         p_kind = kinds.add_parser(kind, parents=[max_n, *parents])

@@ -135,6 +135,11 @@ def _fold(chain: LocalOperatorChain, src: np.ndarray, dst: np.ndarray) -> None:
         k += width
 
 
+def _check_length(chain: LocalOperatorChain, n: int) -> None:
+    if len(chain) != n:
+        raise LengthMismatch(f"chain has {len(chain)} operators for n={n}")
+
+
 def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     """Apply the n-fold tensor product of the chain's operators to s.
 
@@ -146,8 +151,7 @@ def apply_chain(chain: LocalOperatorChain, s: StateVector) -> StateVector:
     later ones update the output in place, so peak extra memory is one
     amplitude vector plus the slab.  The input state is never written.
     """
-    if len(chain) != s.n:
-        raise LengthMismatch(f"chain has {len(chain)} operators for n={s.n}")
+    _check_length(chain, s.n)
     buf = np.empty_like(s.amplitudes)
     _fold(chain, s.amplitudes, buf)
     return _wrap(s.n, buf)

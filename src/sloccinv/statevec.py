@@ -9,6 +9,7 @@ amplitudes (see README for the resulting scaling laws).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
@@ -25,7 +26,8 @@ from .errors import AllZero, LengthMismatch, NormOverflow, ParseError, TooFewQub
 _RESCALE_TOL = 1e-15  # normalize() returns its input unchanged this close to 1
 
 _CLUSTER_SUPPORT = (3, 5, 6, 9, 10, 12)
-_DRAW_SLAB = 1 << 16  # floats per rng.random call and per partial norm (512 KiB)
+_DRAW_SLAB = 1 << 16  # floats per drawn row and per partial norm (512 KiB)
+_DRAW_STEP = 1 << 12  # floats per rng.random call of a streamed draw (32 KiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +52,13 @@ def _norm_squared(amps: np.ndarray, k: int = 0) -> float:
 def _sum_of_squares(amps: np.ndarray, slab: np.ndarray, k: int = 0) -> float:
     """|2**-k * amps|^2 in a fixed order that no BLAS thread count changes: each
     slab.size-float row (slab.size divides the float count) is scaled into slab,
-    exactly, squared and summed by np.add.reduce, and the rows are combined by
-    math.fsum.  No scaled copy of amps is made."""
+    exactly (or squared straight into slab when k = 0), squared and summed by
+    np.add.reduce, and the rows are combined by math.fsum.  No scaled copy of
+    amps is made."""
     rows = amps.view(np.float64).reshape(-1, slab.size)
     with np.errstate(over="ignore"):  # an inf norm is a result: callers refuse or print it
-        return math.fsum(np.add.reduce(np.square(np.ldexp(row, -k, out=slab), out=slab))
+        return math.fsum(np.add.reduce(np.square(np.ldexp(row, -k, out=slab) if k else row,
+                                                 out=slab))
                          for row in rows)
 
 
@@ -150,24 +154,55 @@ def complement(s: StateVector) -> StateVector:
     return _wrap(s.n, s.amplitudes[::-1].copy())
 
 
+def _drawn_rows(rng: np.random.Generator, n: int, out: np.ndarray, scratch: np.ndarray):
+    """Yield the rows of 2**n amplitudes with re/im parts uniform in [-1, 1],
+    then leave rng where rng.uniform(-1, 1, 2**n) and a second such call
+    would leave it.
+
+    A row is min(_DRAW_SLAB, 2**n) floats of [re, im] pairs, the rows of
+    _sum_of_squares.  Real parts come from rng, imaginary parts from a
+    copy of its PCG64 advanced by 2**n; uniform(-1, 1) is -1 + 2r with one
+    rounding (2r is exact).  Each row is written into out, a contiguous
+    float array of every row or of one row that is reused, and its parts
+    are drawn scratch.size floats at a time (a power of two) into scratch.
+    """
+    width = min(_DRAW_SLAB, 1 << n)
+    rows, half = out.reshape(-1, width), width // 2
+    step = min(scratch.size, half)
+    bits = rng.bit_generator
+    start = bits.state
+    im_bits = copy.deepcopy(bits)
+    im_bits.advance(1 << n)
+    im_rng = np.random.Generator(im_bits)
+    for r in range((2 << n) // width):
+        row = rows[r % len(rows)]
+        for part, draw in ((row[0::2], rng.random), (row[1::2], im_rng.random)):
+            for lo in range(0, half, step):
+                draw(out=scratch[:step])
+                np.multiply(scratch[:step], 2.0, out=part[lo:lo + step])
+        row -= 1.0
+        yield row
+    end = im_bits.state  # 2**(n+1) doubles on; advance() dropped a buffered 32-bit half
+    end.update(has_uint32=start["has_uint32"], uinteger=start["uinteger"])
+    bits.state = end
+
+
 def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm amplitudes with re/im parts drawn uniformly from [-1, 1].
 
     The bits and the generator's state afterwards equal those of
     (rng.uniform(-1, 1, 2**n) + 1j * rng.uniform(-1, 1, 2**n)) / norm,
-    with the fixed-order norm of StateVector.norm: uniform(-1, 1) is
-    -1 + 2r with one rounding (2r is exact), and numpy divides a complex
-    by a real as x * (1/norm) per component.  Drawing and summing the
-    squares through one reused slab keeps every temporary in cache.
+    with the fixed-order norm of StateVector.norm; numpy divides a complex
+    by a real as x * (1/norm) per component.  The rows are drawn into the
+    vector through one slab, which then takes each row's squares while
+    the row is in cache.
     """
     amps = np.empty(1 << n, dtype=np.complex128)
+    floats = amps.view(np.float64)
     slab = np.empty(min(_DRAW_SLAB, amps.size))
-    for part in (amps.real, amps.imag):
-        for lo in range(0, part.size, slab.size):
-            rng.random(out=slab)
-            slab *= 2.0
-            np.subtract(slab, 1.0, out=part[lo:lo + slab.size])
-    amps.view(np.float64)[...] *= 1.0 / math.sqrt(_sum_of_squares(amps, slab))
+    rows = _drawn_rows(rng, n, floats, slab)
+    norm = math.sqrt(math.fsum(np.add.reduce(np.square(row, out=slab)) for row in rows))
+    floats *= 1.0 / norm
     return amps
 
 
@@ -324,7 +359,23 @@ def load_state(path, check_n=None) -> StateVector:
     return from_json_dict(_read_json(path))
 
 
-_SAVE_SLAB = 1 << 12  # amplitudes per json.dumps call of save_state
+_SAVE_SLAB = 1 << 10  # amplitudes per json.dumps call of save_state
+
+
+def _write_pairs(path, n: int, rows) -> None:
+    """Write save_state's layout for n with the [re, im] pairs of rows, float
+    arrays of whole pairs, taken in order and encoded _SAVE_SLAB pairs per
+    json.dumps call; the text does not depend on where rows split."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_HEAD % n)
+        sep = ""
+        for row in rows:
+            pairs = row.reshape(-1, 2)  # [re, im] rows, no copy
+            for start in range(0, len(pairs), _SAVE_SLAB):
+                fh.write(sep)
+                fh.write(json.dumps(pairs[start:start + _SAVE_SLAB].tolist())[1:-1])
+                sep = ", "
+        fh.write(_TAIL + "\n")
 
 
 def save_state(s: StateVector, path) -> None:
@@ -338,11 +389,25 @@ def save_state(s: StateVector, path) -> None:
         raise NormOverflow(f"{path}: amplitudes out of the float range; not written")
     if not np.any(s.amplitudes):
         raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
-    pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # [re, im] rows, no copy
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_HEAD % s.n)
-        for start in range(0, len(pairs), _SAVE_SLAB):
-            if start:
-                fh.write(", ")
-            fh.write(json.dumps(pairs[start:start + _SAVE_SLAB].tolist())[1:-1])
-        fh.write(_TAIL + "\n")
+    _write_pairs(path, s.n, [s.amplitudes.view(np.float64)])
+
+
+def _save_random_state(n: int, seed: int, path) -> float:
+    """save_state(random_state(n, seed), path), returning the saved state's
+    norm, bit for bit, without a 2**n vector: the draw is made twice
+    through one reused row, first for its norm, then scaled and encoded
+    row by row.  A row's squares are taken in place, after its encoding."""
+    row = np.empty(min(_DRAW_SLAB, 1 << n))
+    scratch = np.empty(min(_DRAW_STEP, row.size))
+    drawn = _drawn_rows(np.random.default_rng(seed), n, row, scratch)
+    scale = 1.0 / math.sqrt(math.fsum(np.add.reduce(np.square(r, out=r)) for r in drawn))
+    sums = []
+
+    def scaled_rows():
+        for r in _drawn_rows(np.random.default_rng(seed), n, row, scratch):
+            r *= scale
+            yield r
+            sums.append(np.add.reduce(np.square(r, out=r)))
+
+    _write_pairs(path, n, scaled_rows())
+    return math.sqrt(math.fsum(sums))

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sloccinv import (achieved_pair_sums, complement, criteria, f_enumerate, load_state,
-                      random_state, save_state)
-from sloccinv import cli, statevec
+from sloccinv import (achieved_pair_sums, cluster_c, complement, criteria, f_enumerate, ghz,
+                      load_state, new_state, random_state, save_state, w_state)
+from sloccinv import cli, slocc, statevec
 from sloccinv.cli import build_parser, main
 
 
@@ -724,6 +724,148 @@ def test_reports_are_written_in_row_blocks(tmp_path):
             tracemalloc.stop()
     assert size > 15_000_000
     assert peak < size / 4, (peak, size)
+
+
+def _traced_peak(*argv):
+    """The tracemalloc peak of one CLI run, its output discarded, after a
+    warm-up run that fills the caches (sign tables, F tuples, imports)."""
+    with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull):
+        main(list(argv))
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code in (0, 2), argv
+    return peak
+
+
+@pytest.fixture(scope="module")
+def n18_pair(tmp_path_factory):
+    """A random n=18 state file and its image under a unit-determinant chain."""
+    d = tmp_path_factory.mktemp("n18")
+    a, b, ops = d / "a.json", d / "b.json", d / "ops.json"
+    save_state(random_state(18, 7), a)
+    with open(ops, "w", encoding="utf-8") as fh:
+        json.dump(slocc.ops_json_dict(slocc.random_chain(18, 7, unit_det=True)), fh)
+    assert main(["apply", "--input", str(a), "--ops", str(ops), "--output", str(b)]) == 0
+    return a, b, ops
+
+
+VECTOR_18 = 16 << 18  # bytes of an n=18 amplitude vector
+
+
+def test_make_random_holds_no_vector(tmp_path):
+    # the draw is streamed to the file through one 512 KiB row; drawing the
+    # vector first peaked at 5.5 MiB, the vector and save_state's slabs
+    peak = _traced_peak("make", "random", "--n", "18", "--seed", "1",
+                        "-o", str(tmp_path / "r18.json"))
+    assert peak < VECTOR_18 / 4, peak / VECTOR_18
+
+
+def test_apply_folds_the_loaded_vector_in_place(tmp_path, n18_pair):
+    # apply_chain's output vector made the peak 9.4 MiB, two vectors and the slabs
+    a, _, ops = n18_pair
+    peak = _traced_peak("apply", "--input", str(a), "--ops", str(ops),
+                        "--output", str(tmp_path / "c.json"))
+    assert peak - VECTOR_18 < VECTOR_18 / 4, peak / VECTOR_18
+
+
+def test_compare_holds_one_state_at_a_time(n18_pair):
+    # both states loaded first peaked at 10.5 MiB, two vectors and the reports
+    a, b, _ = n18_pair
+    peak = _traced_peak("compare", str(a), str(b))
+    assert peak < 1.5 * VECTOR_18, peak / VECTOR_18
+
+
+def test_make_random_streams_the_file_and_norm_of_the_vector(tmp_path, capsys):
+    # the streamed draw writes save_state(random_state(n, seed)) and prints its
+    # norm (17 digits: bit for bit); above n = 16 the draw has more than two
+    # 512 KiB rows, and from n = 14 each part of a row takes several rng calls
+    ref = tmp_path / "ref.json"
+    for n in range(1, 21):
+        for seed in (0, 7, 2**31 - 1):
+            path = tmp_path / f"r{n}_{seed}.json"
+            code, out, err = run(capsys, "make", "random", "--n", str(n), "--seed", str(seed),
+                                 "-o", str(path))
+            s = random_state(n, seed)
+            save_state(s, ref)
+            assert (code, out, err) == (0, f"n={n} norm={s.norm():.17g} -> {path}\n", "")
+            assert path.read_bytes() == ref.read_bytes(), (n, seed)
+
+
+def _scaled_file(tmp_path, name, s, factor):
+    path = tmp_path / name
+    save_state(new_state(s.n, factor * s.amplitudes), path)
+    return str(path)
+
+
+# compare's exit code and the sha256 of its stdout on exact states, pinned
+# where both states were loaded before either was evaluated
+COMPARE_DIGESTS = [
+    ("w3.json g3.json", 2, "a73b5da3d708e80bba3ccb3485baeed5b97e3441eb68b3757e7d9ffbc41023b2"),
+    ("g3.json w3c.json", 2, "325e1283291fba6d537a125f8e274d126f32533bc2408e83a723872f201fb839"),
+    ("w3.json w3c.json", 0, "4dc390a04121907937b043843aeafc16620bf2caea44d38bf22720ecca4bfc85"),
+    ("c.json g4.json", 0, "86d080c43d2849d3cc99efd03b43d9b4c6bdf6a4df550946b9e98e00b033f0de"),
+    ("g4.json w4.json", 2, "91dc2583ce0eb8f84906d84713cc33856c85590b757bd8a0e39ad7ab66853db4"),
+    ("w4.json p4.json", 2, "d927afe945ce4da2a718440a1271fa13da0f3c54155e224c230a4f6795fcc42d"),
+    ("p4.json g4.json", 0, "c50853bc9703bdf32c16fc50de31db7aea4b8caabe15fd9e3e3e7d60c664dbe4"),
+    ("c.json c.json", 0, "7eb7cbf5aa115286cbd09f2af463499ce10d453953694eedb5227baa049fdc40"),
+    ("w6.json g6.json", 2, "c652312e0cb84fbe98b3a116332a78cc1a5daec0511811a2f81a0a066b29da82"),
+    ("g5.json w5.json", 2, "325e1283291fba6d537a125f8e274d126f32533bc2408e83a723872f201fb839"),
+]
+
+
+def test_compare_verdicts_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["ghz", "--n", "3", "-o", "g3.json"], ["w", "--n", "3", "-o", "w3.json"],
+                 ["complement", "w3.json", "-o", "w3c.json"], ["ghz", "--n", "4", "-o", "g4.json"],
+                 ["w", "--n", "4", "-o", "w4.json"], ["cluster-c", "-o", "c.json"],
+                 ["ghz", "--n", "2", "-o", "g2.json"],
+                 ["product", "g2.json", "g2.json", "-o", "p4.json"],
+                 ["ghz", "--n", "5", "-o", "g5.json"], ["w", "--n", "5", "-o", "w5.json"],
+                 ["ghz", "--n", "6", "-o", "g6.json"], ["w", "--n", "6", "-o", "w6.json"]):
+        assert run(capsys, "make", *argv)[0] == 0
+    for pair, want_code, digest in COMPARE_DIGESTS:
+        code, out, err = run(capsys, "compare", *pair.split())
+        assert (code, err) == (want_code, ""), pair
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, pair
+
+
+def test_compare_errors_come_in_the_order_of_both_states_loaded_first(tmp_path, capsys):
+    # 1e100 * ghz(3): its odd invariant and its D/F values overflow
+    big3 = _scaled_file(tmp_path, "big3.json", ghz(3), 1e100)
+    g4 = _scaled_file(tmp_path, "g4.json", ghz(4), 1.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3, "amplitudes": [[1, 0], ')
+    code, out, err = run(capsys, "compare", big3, str(bad))
+    assert_one_error_line(code, out, err)
+    assert "invalid JSON" in err
+    code, out, err = run(capsys, "compare", big3, g4)
+    assert_one_error_line(code, out, err)
+    assert err == "error: cannot compare n=3 with n=4\n"
+    code, out, err = run(capsys, "compare", g4, big3)
+    assert err == "error: cannot compare n=4 with n=3\n"
+    code, out, err = run(capsys, "compare", big3, str(tmp_path / "missing.json"))
+    assert_one_error_line(code, out, err)
+    assert "No such file" in err
+
+
+def test_tau_decided_compare_ignores_d_and_f_overflow(tmp_path, capsys):
+    # at 1e100 the degree-2 tau is finite, while a degree-4 D or F value of
+    # ghz(4) or the cluster state is past the float range: the tau rule
+    # decides ghz vs w (exit 2) before D/F is needed; ghz vs cluster needs it
+    big = {name: _scaled_file(tmp_path, f"{name}.json", s, 1e100)
+           for name, s in (("ghz", ghz(4)), ("w", w_state(4)), ("cluster", cluster_c()))}
+    for pair in (("ghz", "w"), ("w", "ghz")):
+        code, out, err = run(capsys, "compare", *(big[name] for name in pair))
+        assert (code, err) == (2, ""), pair
+        assert json.loads(out)["outcome"] == "ProvablyInequivalent"
+    for pair in (("ghz", "cluster"), ("cluster", "ghz")):
+        code, out, err = run(capsys, "compare", *(big[name] for name in pair))
+        assert_one_error_line(code, out, err)
+        assert "too large for a float" in err, pair
 
 
 def _readme_cli_lines():

@@ -297,6 +297,31 @@ def test_random_amplitudes_bits_match_the_sum_and_divide_form():
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, seed)
 
 
+def test_random_amplitudes_leave_the_generator_for_the_chain_draw():
+    # the imaginary parts come from a copy of the generator advanced by 2**n,
+    # so the draw must move rng past them; a verify trial draws its chain
+    # next, and perfbench's rounding check redoes the trial from that state.
+    # A 32-bit half buffered before the draw survives it, as under uniform().
+    from sloccinv.slocc import _random_ops
+    from sloccinv.statevec import _random_amplitudes
+
+    for n in (1, 4, 15, 17):
+        for buffered in (False, True):
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            if buffered:
+                rng.integers(0, 2**32, dtype=np.uint32)
+                ref_rng.integers(0, 2**32, dtype=np.uint32)
+            got = _random_amplitudes(rng, n)
+            ref = ref_rng.uniform(-1.0, 1.0, 1 << n) + 1j * ref_rng.uniform(-1.0, 1.0, 1 << n)
+            assert got.tobytes() == (ref / new_state(n, ref).norm()).tobytes(), n
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, buffered)
+            assert rng.integers(0, 2**32, dtype=np.uint32) == ref_rng.integers(
+                0, 2**32, dtype=np.uint32)
+            assert rng.random() == ref_rng.random()
+            chain, ref_chain = _random_ops(rng, n, False), _random_ops(ref_rng, n, False)
+            assert chain.ops.tobytes() == ref_chain.ops.tobytes(), (n, buffered)
+
+
 def test_draws_and_norms_do_not_depend_on_the_blas_thread_count():
     # a BLAS reduction splits its sum across threads; the fixed-order sum does not
     code = ("import hashlib\n"
@@ -576,8 +601,8 @@ def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
 
 def test_save_state_holds_no_copy_of_the_vector(tmp_path):
     # the [re, im] rows are a view of the amplitudes, and the encoder holds
-    # one slab of lists and text at a time; the encoder's peak, some 1.5 MiB
-    # with 2**12-amplitude slabs, does not grow with n, so the 4 MiB n=18
+    # one slab of lists and text at a time; the encoder's peak, some 0.4 MiB
+    # with 2**10-amplitude slabs, does not grow with n, so the 4 MiB n=18
     # vector tells it apart from a copy with room to spare
     s = random_state(18, 1)
     tracemalloc.start()
