@@ -259,7 +259,12 @@ def cmd_compare(args) -> int:
 
 def cmd_apply(args) -> int:
     """apply_chain of the ops file to the input file, bit for bit, folded in
-    place: the loaded vector is this command's own, so it is the output."""
+    place: the loaded vector is this command's own, so it is the output.
+
+    The load, the fold and the save run in turn, so the child that a large
+    load or save forks never runs beside the fold's OpenBLAS threads: the
+    GEMM passes slow sharply when another CPU-bound process shares the CPUs
+    they use."""
     s = _load(args.input, args.max_n)
     chain = slocc.ops_from_json_dict(statevec._read_json(args.ops))
     slocc._check_length(chain, s.n)

@@ -154,17 +154,20 @@ def complement(s: StateVector) -> StateVector:
     return _wrap(s.n, s.amplitudes[::-1].copy())
 
 
-def _drawn_rows(rng: np.random.Generator, n: int, out: np.ndarray, scratch: np.ndarray):
-    """Yield the rows of 2**n amplitudes with re/im parts uniform in [-1, 1],
-    then leave rng where rng.uniform(-1, 1, 2**n) and a second such call
-    would leave it.
+def _drawn_rows(rng: np.random.Generator, n: int, out: np.ndarray, scratch: np.ndarray,
+                first: int = 0, stop: int | None = None):
+    """Yield rows first to stop - 1 (all by default) of the 2**n amplitudes
+    with re/im parts uniform in [-1, 1], then leave rng where
+    rng.uniform(-1, 1, 2**n) and a second such call would leave it.
 
     A row is min(_DRAW_SLAB, 2**n) floats of [re, im] pairs, the rows of
     _sum_of_squares.  Real parts come from rng, imaginary parts from a
     copy of its PCG64 advanced by 2**n; uniform(-1, 1) is -1 + 2r with one
-    rounding (2r is exact).  Each row is written into out, a contiguous
-    float array of every row or of one row that is reused, and its parts
-    are drawn scratch.size floats at a time (a power of two) into scratch.
+    rounding (2r is exact).  A later first row advances both streams past
+    the parts of the rows before it, so every row has the bits of the whole
+    draw's.  Each row is written into out, a contiguous float array of every
+    row or of one row that is reused, and its parts are drawn scratch.size
+    floats at a time (a power of two) into scratch.
     """
     width = min(_DRAW_SLAB, 1 << n)
     rows, half = out.reshape(-1, width), width // 2
@@ -172,9 +175,11 @@ def _drawn_rows(rng: np.random.Generator, n: int, out: np.ndarray, scratch: np.n
     bits = rng.bit_generator
     start = bits.state
     im_bits = copy.deepcopy(bits)
-    im_bits.advance(1 << n)
+    im_bits.advance((1 << n) + first * half)
+    if first:
+        bits.advance(first * half)
     im_rng = np.random.Generator(im_bits)
-    for r in range((2 << n) // width):
+    for r in range(first, (2 << n) // width if stop is None else stop):
         row = rows[r % len(rows)]
         for part, draw in ((row[0::2], rng.random), (row[1::2], im_rng.random)):
             for lo in range(0, half, step):
@@ -263,34 +268,145 @@ def from_json_dict(doc) -> StateVector:
     return _wrap(n, amps)
 
 
-_WS = json.decoder.WHITESPACE.match  # JSON whitespace, [ \t\n\r]*
-_LOAD_SLAB = 1 << 16  # characters per read and per decode call of load_state
+_WS = re.compile(rb"[ \t\n\r]*").match  # JSON whitespace
+_LOAD_SLAB = 1 << 16  # bytes per read and per decode call of load_state
+_SPLIT_N = 14  # from this n on, a load or save runs in two halves (see _splits)
 
 # save_state's layout: _HEAD % n, the [re, im] pairs joined by ", ", _TAIL and "\n"
-_HEAD, _TAIL = '{"n": %d, "amplitudes": [', "]}"
-_SAVED_HEAD = re.compile(re.escape(_HEAD).replace("%d", "([1-9][0-9]?)"))
+_HEAD, _TAIL = b'{"n": %d, "amplitudes": [', b"]}"
+_SAVED_HEAD = re.compile(re.escape(_HEAD).replace(b"%d", rb"([1-9][0-9]?)"))
+_PAIR = "[%r, %r], "  # json.dumps spells a finite float as float.__repr__ does
 
 
-def _streamed_state(fh, size: int, check_n) -> StateVector | None:
-    """The state of a file in save_state's layout, read and decoded _LOAD_SLAB
-    characters at a time into one preallocated vector; None for any other text.
+def _splits(n: int) -> bool:
+    """Whether a load or save of 2**n amplitudes runs in two halves, the second
+    in a forked child: from n = _SPLIT_N on, where os.fork exists and no other
+    Python thread runs (a fork copies only the calling thread)."""
+    import threading
+    return n >= _SPLIT_N and hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _shared(count: int, dtype) -> np.ndarray:
+    """count zeros of dtype in a shared anonymous mmap, so that what a forked
+    child writes there is in place for its parent."""
+    import mmap
+    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype)
+
+
+def _in_halves(first, second):
+    """(first(), whether second() returned true), with second() run meanwhile
+    in a forked child, or here after first() if no process can be forked.
+
+    second() must run no BLAS, import nothing and touch no stdio.  The child
+    ends in os._exit from a finally, exit code 0 only when second() returned
+    true.  If first() raises, the child is killed.  Either way it is reaped
+    before this returns or raises.
+    """
+    import warnings
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock the
+        # child.  Those threads are OpenBLAS's (the caller checked that no other
+        # Python thread runs), and the child calls neither BLAS nor anything that
+        # takes a lock they could hold.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory
+            pid = None
+    if pid is None:
+        return first(), bool(second())
+    if not pid:
+        ok = False
+        try:
+            ok = bool(second())
+        finally:
+            os._exit(0 if ok else 1)
+    try:
+        result = first()
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return result, status == 0
+
+
+def _decode_entries(fh, out: np.ndarray, size: int = -1) -> bool:
+    """Decode into out the [re, im] entries of fh's next size bytes, or of
+    all the rest; whether they are exactly out.size number pairs that are
+    followed by ", " or, in the rest, end the list.
+
+    The pair list is cut just after the first "]" at _LOAD_SLAB - 1 bytes
+    or more into the undecoded text; each cut must be followed by ",".  A
+    cut that meets the final entry reads on to the end of the range, where
+    that entry may be followed only by ", ", or in the rest the list's
+    "]]}" only by JSON whitespace.  Each slab is decoded and turned into complex values
+    before the next is read.  When every slab decodes to number pairs, the
+    range holds exactly their entries.  Bad UTF-8, text that is not number
+    pairs, a cut inside an entry or a wrong count gives False.
+    """
+    end = b"]" + _TAIL if size < 0 else b"], "
+    text, count, eof = b"", 0, False
+    try:
+        while True:
+            stop = text.rfind(end) + 1 if eof else len(text)
+            if eof and (not stop or _WS(text, stop + len(end) - 1).end() < len(text)):
+                return False
+            hi = text.find(b"]", min(_LOAD_SLAB, stop) - 1, stop) + 1
+            comma = _WS(text, hi).end()
+            if not (hi and text.startswith(b",", comma) or eof and hi == stop):
+                if eof:
+                    return False
+                more = fh.read(_LOAD_SLAB if size < 0 else min(_LOAD_SLAB, size))
+                size -= len(more)  # the cut or its comma lies beyond the text read
+                text += more
+                eof = not more or size == 0
+                continue
+            part = _complex_pairs(json.loads(f"[{text[:hi].decode()}]"), "amplitude")
+            out[count:count + part.size] = part  # past out.size entries: a ValueError
+            count += part.size
+            if eof and hi == stop:
+                return count == out.size
+            text = text[comma + 1:]
+    except (ValueError, RecursionError):  # bad UTF-8, no pairs, a cut inside an entry or a string
+        return False
+
+
+def _entry_offset(fh, count: int) -> int | None:
+    """The byte offset of the entry after the count-th "], [" from fh's
+    position on, or None if there are fewer."""
+    pos, carry = fh.tell(), b""
+    while chunk := fh.read(_LOAD_SLAB):
+        text = carry + chunk  # carry: a separator may straddle two reads
+        found = text.count(b"], [")
+        if found >= count:
+            at = -1
+            for _ in range(count):
+                at = text.index(b"], [", at + 1)
+            return pos - len(carry) + at + 3
+        count -= found
+        pos += len(chunk)
+        carry = text[-3:]
+    return None
+
+
+def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
+    """The state of a file in save_state's layout, opened as fh in binary
+    mode, decoded _LOAD_SLAB bytes at a time into one preallocated vector;
+    None for any other text.
 
     The head is read first, and check_n gets its n before any amplitude is
     decoded.  The vector is allocated only if the file can hold 2**n of the
-    shortest entry, "[0,0],".  The pair list is cut just after the first
-    "]" at _LOAD_SLAB - 1 characters or more into the unread text; each cut
-    must be followed by ",".  A cut that meets the last entry reads on to
-    the end of the file, where "]]}" may be followed only by JSON whitespace.
-    Each slab is decoded and turned into complex values before the next is
-    read.  When every slab decodes to number pairs, the list is exactly
-    their entries, so the state is that of the whole-list parse.  Any other
-    text, bad UTF-8 in any read, or a slab, count or all-zero check that
-    fails gives None, for the whole parse to decide.
+    shortest entry, "[0,0],".  When _splits(n) and the file has at least
+    2**(n-1) separators "], [", the entries up to the 2**(n-1)-th of them
+    and the rest are decoded by _decode_entries here and in a forked child,
+    each into its half of one shared vector; otherwise it decodes them all
+    here.  Any failed range or an all-zero vector gives None, for the whole
+    parse to decide.
     """
-    try:  # the first read decodes a whole chunk of the file, not just the head
-        text = fh.read(len(_HEAD % 99))  # the longest head
-    except ValueError:  # bad UTF-8 near the start
-        return None
+    text = fh.read(len(_HEAD % 99))  # the longest head
     head = _SAVED_HEAD.match(text)
     if not head:
         return None
@@ -299,30 +415,23 @@ def _streamed_state(fh, size: int, check_n) -> StateVector | None:
         check_n(n)
     if 6 << n > size:
         return None
-    amps, count, text, eof = np.empty(1 << n, dtype=np.complex128), 0, text[head.end():], False
-    try:
-        while True:
-            stop = text.rfind("]" + _TAIL) + 1 if eof else len(text)
-            if eof and (not stop or _WS(text, stop + len(_TAIL)).end() < len(text)):
-                return None
-            hi = text.find("]", min(_LOAD_SLAB, stop) - 1, stop) + 1
-            comma = _WS(text, hi).end()
-            if not (hi and text.startswith(",", comma) or eof and hi == stop):
-                if eof:
-                    return None
-                more = fh.read(_LOAD_SLAB)  # the cut or its comma lies beyond the text read
-                text += more
-                eof = not more
-                continue
-            part = _complex_pairs(json.loads(f"[{text[:hi]}]"), "amplitude")
-            amps[count:count + part.size] = part  # past 2**n entries: a ValueError
-            count += part.size
-            if eof and hi == stop:
-                break
-            text = text[comma + 1:]
-    except (ValueError, RecursionError):  # bad UTF-8, no pairs, a cut inside an entry or a string
-        return None
-    return _wrap(n, amps) if count == amps.size and np.any(amps) else None
+    start, half = fh.seek(head.end()), 1 << (n - 1)
+    cut = _entry_offset(fh, half) if _splits(n) else None
+    fh.seek(start)
+    if cut is None:
+        amps = np.empty(1 << n, dtype=np.complex128)
+        done = _decode_entries(fh, amps)
+        return _wrap(n, amps) if done and np.any(amps) else None
+    amps = _shared(1 << n, np.complex128)
+
+    def second() -> bool:
+        with open(path, "rb") as rest:
+            rest.seek(cut)
+            return _decode_entries(rest, amps[half:])
+
+    done, child_done = _in_halves(
+        lambda: _decode_entries(fh, amps[:half], cut - start), second)
+    return _wrap(n, amps) if done and child_done and np.any(amps) else None
 
 
 def _read_json(path):
@@ -340,10 +449,12 @@ def load_state(path, check_n=None) -> StateVector:
     """from_json_dict(json.load(file)), streaming a file in save_state's layout.
 
     A regular file in save_state's layout is read and decoded in slabs of
-    about _LOAD_SLAB characters, each written into one preallocated
-    vector before the next is read, where json.load would hold the text and
-    build 2**n two-float lists first (about 130 bytes per amplitude): the
-    peak is the vector plus a few slabs, whatever the file's size.
+    about _LOAD_SLAB bytes, each written into one preallocated vector
+    before the next is read, where json.load would hold the text and build
+    2**n two-float lists first (about 130 bytes per amplitude): the peak is
+    the vector plus a few slabs, whatever the file's size.  From n =
+    _SPLIT_N on, the second half of the file is decoded meanwhile by a
+    forked child, which is reaped before this returns (see _splits).
     check_n, if given, is called with the n of save_state's head before
     any amplitude is decoded; what it raises propagates.  Any other file,
     or one whose stream fails a check, is read again whole and parsed by
@@ -352,62 +463,125 @@ def load_state(path, check_n=None) -> StateVector:
     """
     info = os.stat(path)
     if stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
-        with open(path, "r", encoding="utf-8") as fh:
-            s = _streamed_state(fh, info.st_size, check_n)
+        with open(path, "rb") as fh:
+            s = _streamed_state(fh, info.st_size, check_n, path)
         if s is not None:
             return s
     return from_json_dict(_read_json(path))
 
 
-_SAVE_SLAB = 1 << 10  # amplitudes per json.dumps call of save_state
+_SAVE_SLAB = 1 << 10  # amplitudes per formatting call of save_state
 
 
-def _write_pairs(path, n: int, rows) -> None:
-    """Write save_state's layout for n with the [re, im] pairs of rows, float
-    arrays of whole pairs, taken in order and encoded _SAVE_SLAB pairs per
-    json.dumps call; the text does not depend on where rows split."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_rows(fh, rows, sep: bytes) -> bytes:
+    """Write the [re, im] pairs of rows, float arrays of whole pairs, as
+    json.dumps spells them, joined by ", " and the first preceded by sep;
+    return the separator that a next pair needs.  Each slab of _SAVE_SLAB
+    pairs is one ("[%r, %r], " * k)[:-2] % pairs, which builds no pair
+    lists."""
+    for row in rows:
+        for start in range(0, row.size, 2 * _SAVE_SLAB):
+            part = row[start:start + 2 * _SAVE_SLAB].tolist()
+            fh.write(sep)
+            fh.write(((_PAIR * (len(part) // 2))[:-2] % tuple(part)).encode())
+            sep = b", "
+    return sep
+
+
+def _write_pairs(path, n: int, first, second, split: bool) -> None:
+    """Write save_state's layout for n with the [re, im] pairs of the rows
+    of first() and then of second(); the text does not depend on where
+    the rows split.
+
+    When split, a forked child writes second()'s pairs into an unlinked
+    temporary file beside path while this process writes first()'s into
+    path, then appends the child's bytes, or writes second()'s itself if
+    the child failed or no temporary file could be made.
+    """
+    with open(path, "wb") as fh:
         fh.write(_HEAD % n)
-        sep = ""
-        for row in rows:
-            pairs = row.reshape(-1, 2)  # [re, im] rows, no copy
-            for start in range(0, len(pairs), _SAVE_SLAB):
-                fh.write(sep)
-                fh.write(json.dumps(pairs[start:start + _SAVE_SLAB].tolist())[1:-1])
-                sep = ", "
-        fh.write(_TAIL + "\n")
+        spare = None
+        if split:
+            import tempfile
+            try:
+                spare = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+            except OSError:  # the split needs it; the serial write does not
+                pass
+        if spare is None:
+            _write_rows(fh, second(), _write_rows(fh, first(), b""))
+        else:
+            with spare:
+                def child() -> bool:
+                    _write_rows(spare, second(), b", ")
+                    spare.flush()
+                    return True
+
+                sep, done = _in_halves(lambda: _write_rows(fh, first(), b""), child)
+                if done:
+                    import shutil
+                    spare.seek(0)
+                    shutil.copyfileobj(spare, fh)
+                else:
+                    _write_rows(fh, second(), sep)
+        fh.write(_TAIL + b"\n")
 
 
 def save_state(s: StateVector, path) -> None:
     """Write json.dumps(to_json_dict(s)) and a newline, encoded in slabs.
 
-    One-shot json.dumps runs the C encoder (json.dump does not); slabs
-    keep the nested lists and the text of one slab in memory at a time.
+    Each slab spells its floats with float.__repr__, as json.dumps does,
+    and holds one slab's floats and text in memory at a time.  From n =
+    _SPLIT_N on, a forked child encodes the second half (see _write_pairs).
     A state that load_state would reject raises before the file is opened.
     """
     if not np.all(np.isfinite(s.amplitudes)):
         raise NormOverflow(f"{path}: amplitudes out of the float range; not written")
     if not np.any(s.amplitudes):
         raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
-    _write_pairs(path, s.n, [s.amplitudes.view(np.float64)])
+    floats = s.amplitudes.view(np.float64)
+    half = floats.size // 2
+    _write_pairs(path, s.n, lambda: [floats[:half]], lambda: [floats[half:]], _splits(s.n))
 
 
 def _save_random_state(n: int, seed: int, path) -> float:
     """save_state(random_state(n, seed), path), returning the saved state's
     norm, bit for bit, without a 2**n vector: the draw is made twice
     through one reused row, first for its norm, then scaled and encoded
-    row by row.  A row's squares are taken in place, after its encoding."""
+    row by row.  A row's squares are taken in place, after its encoding.
+
+    Each row's sum of squares goes to its own slot, and a norm is the
+    math.fsum of the slots, exact and so the same in any order.  When
+    _splits(n), a forked child draws the second half of the rows in each
+    pass from both PCG64 streams advanced to its first row, and writes its
+    sums into shared slots.
+    """
     row = np.empty(min(_DRAW_SLAB, 1 << n))
     scratch = np.empty(min(_DRAW_STEP, row.size))
-    drawn = _drawn_rows(np.random.default_rng(seed), n, row, scratch)
-    scale = 1.0 / math.sqrt(math.fsum(np.add.reduce(np.square(r, out=r)) for r in drawn))
-    sums = []
+    count = (2 << n) // row.size  # rows of the draw, at least two
+    split, mid = _splits(n), count // 2
+    sums = _shared(count, np.float64) if split else np.empty(count)
+    default_rng = np.random.default_rng  # numpy.random is imported here, not in a child
 
-    def scaled_rows():
-        for r in _drawn_rows(np.random.default_rng(seed), n, row, scratch):
-            r *= scale
-            yield r
-            sums.append(np.add.reduce(np.square(r, out=r)))
+    def drawn(first, stop):
+        rows = _drawn_rows(default_rng(seed), n, row, scratch, first, stop)
+        return enumerate(rows, first)
 
-    _write_pairs(path, n, scaled_rows())
+    def squares(first, stop) -> bool:
+        for r, x in drawn(first, stop):
+            sums[r] = np.add.reduce(np.square(x, out=x))
+        return True
+
+    if not split:
+        squares(0, count)
+    elif not _in_halves(lambda: squares(0, mid), lambda: squares(mid, count))[1]:
+        squares(mid, count)  # the child failed
+    scale = 1.0 / math.sqrt(math.fsum(sums))
+
+    def scaled(first, stop):
+        for r, x in drawn(first, stop):
+            x *= scale
+            yield x
+            sums[r] = np.add.reduce(np.square(x, out=x))
+
+    _write_pairs(path, n, lambda: scaled(0, mid), lambda: scaled(mid, count), split)
     return math.sqrt(math.fsum(sums))

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -728,8 +729,11 @@ def test_reports_are_written_in_row_blocks(tmp_path):
 
 def _traced_peak(*argv):
     """The tracemalloc peak of one CLI run, its output discarded, after a
-    warm-up run that fills the caches (sign tables, F tuples, imports)."""
-    with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull):
+    warm-up run that fills the caches (sign tables, F tuples, imports).
+    State files are loaded and saved in one process, since the vector of a
+    load split across two lies in an mmap, which tracemalloc does not see."""
+    with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull), \
+            mock.patch.object(statevec, "_SPLIT_N", 64):
         main(list(argv))
         tracemalloc.start()
         try:

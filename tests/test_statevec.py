@@ -1,15 +1,19 @@
 """State construction, algebra, and JSON I/O."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sloccinv import (
     AllZero,
@@ -412,14 +416,34 @@ def test_save_state_writes_one_shot_json(tmp_path):
 
 
 def test_save_state_joins_slabs_as_one_shot_json(tmp_path):
-    # n=15 is two slabs, so the file holds a slab separator
-    assert statevec._SAVE_SLAB < 1 << 15
-    s = random_state(15, 3)
+    # many slabs, so the file holds slab separators; n = 13..16 spans both
+    # sides of the size from which a save and a load run in two halves
     path = tmp_path / "s.json"
-    save_state(s, path)
-    assert path.read_bytes() == (json.dumps(to_json_dict(s)) + "\n").encode()
-    loaded = load_state(path)
-    np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
+    for n in range(statevec._SPLIT_N - 1, statevec._SPLIT_N + 3):
+        assert statevec._SAVE_SLAB < 1 << n
+        s = random_state(n, 3)
+        save_state(s, path)
+        assert path.read_bytes() == (json.dumps(to_json_dict(s)) + "\n").encode(), n
+        loaded = load_state(path)
+        np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64),
+                                      s.amplitudes.view(np.uint64))
+
+
+PAIR_SPELLINGS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 53, 123456789.0]
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False))
+def test_pair_spelling_is_json_dumps(a, b):
+    # save_state's slabs spell each pair with this template
+    assert statevec._PAIR[:-2] % (a, b) == json.dumps([a, b])
+
+
+@pytest.mark.parametrize("a", PAIR_SPELLINGS)
+def test_pair_spelling_of_the_edge_floats(a):
+    assert statevec._PAIR[:-2] % (a, -a) == json.dumps([a, -a])
 
 
 def test_all_zero_state_file_and_zero_vector(tmp_path):
@@ -578,16 +602,19 @@ def test_load_state_reads_a_pipe_once():
     np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
 
 
-def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
+def test_load_state_holds_one_slab_of_pair_lists(tmp_path, monkeypatch):
     # json.load built 2**16 two-float lists before converting any: its peak
     # was 12.05 MiB for the 3.01 MiB n=16 file, text plus 9 vectors.  Reading
     # the whole text held its bytes and its str at once, twice the text, and
     # at n=18 the peak was 20.4 MiB above the vector.  The stream holds the
-    # vector and a few slabs, whatever the file's size.
-    for n in (16, 18):
+    # vector and a few slabs, whatever the file's size.  A load split in two
+    # holds its vector in an mmap, which tracemalloc does not see, and a few
+    # slabs in each process.
+    for split_n, n in ((statevec._SPLIT_N, 16), (statevec._SPLIT_N, 18), (64, 16), (64, 18)):
+        monkeypatch.setattr(statevec, "_SPLIT_N", split_n)
         path = tmp_path / f"r{n}.json"
         save_state(random_state(n, 1), path)
-        size, vector = path.stat().st_size, 16 << n
+        size, vector = path.stat().st_size, 0 if n >= split_n else 16 << n
         load_state(path)
         tracemalloc.start()
         try:
@@ -595,8 +622,9 @@ def test_load_state_holds_one_slab_of_pair_lists(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * size + vector, (peak - size) / vector
-        assert peak - vector < 12 * statevec._LOAD_SLAB, (n, (peak - vector) / statevec._LOAD_SLAB)
+        assert peak < 2 * size + vector, (split_n, n, (peak - size) / (16 << n))
+        assert peak - vector < 12 * statevec._LOAD_SLAB, (
+            split_n, n, (peak - vector) / statevec._LOAD_SLAB)
 
 
 def test_save_state_holds_no_copy_of_the_vector(tmp_path):
@@ -612,6 +640,174 @@ def test_save_state_holds_no_copy_of_the_vector(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < s.amplitudes.nbytes, peak / s.amplitudes.nbytes
+
+
+def assert_reaped():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes while a test runs."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def file_digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def io_outcomes(tmp_path, s, seeds):
+    """The sha256 of save_state(s)'s file; the outcome of loading it back, as
+    (n, sha256 of the bits) or the error; and the sha256 of make random's file
+    and the bits of its norm at each seed.  No call leaves a child behind."""
+    path = tmp_path / "s.json"
+    save_state(s, path)
+    assert_reaped()
+    saved = file_digest(path)
+    try:
+        loaded = load_state(path)
+    except SloccInvError as exc:
+        outcome = type(exc), str(exc)
+    else:
+        outcome = loaded.n, hashlib.sha256(loaded.amplitudes.tobytes()).hexdigest()
+        del loaded
+    assert_reaped()
+    drawn = []
+    for seed in seeds:
+        norm = statevec._save_random_state(s.n, seed, path)
+        assert_reaped()
+        drawn.append((file_digest(path), norm.hex()))
+    return saved, outcome, drawn
+
+
+SPLIT_SEEDS = (0, 7, 2**31 - 1)
+
+
+def test_split_and_serial_io_agree(tmp_path, monkeypatch, forks):
+    # from _SPLIT_N on a save and a load fork one child each and make random
+    # two; the serial path runs with the size test patched above n
+    split_n = statevec._SPLIT_N
+    for n in range(split_n - 1, 21):
+        s = random_state(n, n)
+        split = io_outcomes(tmp_path, s, SPLIT_SEEDS)
+        assert split[1] == (n, hashlib.sha256(s.amplitudes.tobytes()).hexdigest())
+        assert len(forks) == (2 + 2 * len(SPLIT_SEEDS) if n >= split_n else 0), n
+        del forks[:]
+        monkeypatch.setattr(statevec, "_SPLIT_N", n + 1)
+        assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == split, n
+        assert forks == []
+        monkeypatch.setattr(statevec, "_SPLIT_N", split_n)
+
+
+@pytest.mark.parametrize("n", [1, 4, 14, 17, 18])
+def test_a_later_first_row_draws_that_slice_of_the_draw(n):
+    width = min(statevec._DRAW_SLAB, 1 << n)
+    scratch = np.empty(min(statevec._DRAW_STEP, width))
+    whole = np.empty(2 << n)
+    for _ in statevec._drawn_rows(np.random.default_rng(9), n, whole, scratch):
+        pass
+    rows = whole.reshape(-1, width)
+    count = len(rows)
+    for first, stop in ((0, 1), (1, count), (count // 2, count), (count - 1, count)):
+        got = [row.copy() for row in statevec._drawn_rows(
+            np.random.default_rng(9), n, np.empty(width), scratch, first, stop)]
+        np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                      rows[first:stop].view(np.uint64), (first, stop))
+
+
+def test_damage_in_one_half_gives_the_serial_error(tmp_path, monkeypatch, forks):
+    n = statevec._SPLIT_N + 1
+    path = tmp_path / "s.json"
+    save_state(random_state(n, 3), path)
+    del forks[:]
+    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        fh.seek(data.index(b"[[") + 1)
+        cut = statevec._entry_offset(fh, 1 << (n - 1))
+    past = data.index(b"], [", (cut + len(data)) // 2) + 3  # an entry well past the cut
+    early = data.index(b"], [", cut // 2) + 3  # one well before it
+    cases = [data[:past + 5],  # truncated
+             data[:past] + b"[NaN, 0]" + data[data.index(b"]", past) + 1:],
+             data[:past + 2] + b"\xff" + data[past + 3:],
+             data[:past] + b"[1, 0, 0]" + data[data.index(b"]", past) + 1:],
+             data + b"x",  # a byte after "]]}\n"
+             data[:early] + b"[1, 0, 0]" + data[data.index(b"]", early) + 1:]]
+    for bad in cases:
+        path.write_bytes(bad)
+        split = load_outcome(load_state, path)
+        assert len(forks) == 1
+        del forks[:]
+        assert_reaped()
+        monkeypatch.setattr(statevec, "_SPLIT_N", n + 1)
+        serial = load_outcome(load_state, path)
+        monkeypatch.setattr(statevec, "_SPLIT_N", n)
+        assert split[0] is ParseError
+        assert split == serial == load_outcome(json_load_state, path), bad[-80:]
+
+
+def test_a_failed_child_leaves_the_outcome(tmp_path, monkeypatch):
+    # the load goes to the whole parse; a save and make random do the child's half
+    s = random_state(statevec._SPLIT_N + 2, 5)
+    want = io_outcomes(tmp_path, s, SPLIT_SEEDS)
+    pids, fork = [], os.fork
+
+    def failing_fork():
+        pid = fork()
+        if not pid:
+            os._exit(1)
+        pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want
+    assert len(pids) == 2 + 2 * len(SPLIT_SEEDS)
+
+    def no_process():  # out of process ids: this process does both halves
+        pids.append(0)
+        raise BlockingIOError("fork: Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_process)
+    assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want
+    assert pids.count(0) == 2 + 2 * len(SPLIT_SEEDS)
+
+
+def test_a_failing_first_half_kills_and_reaps_its_child():
+    assert statevec._in_halves(lambda: "first", lambda: 1) == ("first", True)
+    assert statevec._in_halves(lambda: "first", lambda: 1 / 0) == ("first", False)
+    assert_reaped()
+    start = time.monotonic()
+    with pytest.raises(ZeroDivisionError):
+        statevec._in_halves(lambda: 1 / 0, lambda: time.sleep(60))
+    assert time.monotonic() - start < 30
+    assert_reaped()
+
+
+def test_no_fork_beside_another_python_thread_or_without_os_fork(tmp_path, monkeypatch):
+    s = random_state(statevec._SPLIT_N + 1, 5)
+    want = io_outcomes(tmp_path, s, SPLIT_SEEDS[:1])
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert io_outcomes(tmp_path, s, SPLIT_SEEDS[:1]) == want
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert io_outcomes(tmp_path, s, SPLIT_SEEDS[:1]) == want
 
 
 @pytest.mark.parametrize("amplitudes, k", [
