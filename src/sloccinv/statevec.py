@@ -293,44 +293,45 @@ def _shared(count: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype)
 
 
-def _in_halves(first, second):
-    """(first(), whether second() returned true), with second() run meanwhile
-    in a forked child, or here after first() if no process can be forked.
-
-    second() must run no BLAS, import nothing and touch no stdio.  The child
-    ends in os._exit from a finally, exit code 0 only when second() returned
-    true.  If first() raises, the child is killed.  Either way it is reaped
-    before this returns or raises.
+def _in_halves(split: bool, first, second):
+    """(first(), whether second() returned true).  When split, second() runs
+    meanwhile in a forked child; it runs here after first() when not split,
+    when os.fork raises or when the child did not exit 0, so it may run
+    twice and must then redo all it did.  A child runs no BLAS, imports
+    nothing, touches no stdio and ends in os._exit from a finally, exit
+    code 0 only when second() returned true.  If first() raises, the child
+    is killed; it is always reaped before second() runs here or this
+    returns or raises.
     """
-    import warnings
-    with warnings.catch_warnings():
-        # Python 3.12 warns that forking a process with threads may deadlock the
-        # child.  Those threads are OpenBLAS's (the caller checked that no other
-        # Python thread runs), and the child calls neither BLAS nor anything that
-        # takes a lock they could hold.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:  # out of processes or memory
-            pid = None
-    if pid is None:
-        return first(), bool(second())
-    if not pid:
-        ok = False
-        try:
-            ok = bool(second())
-        finally:
-            os._exit(0 if ok else 1)
+    pid = None
+    if split:
+        import warnings
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a process with threads may deadlock
+            # the child.  Those threads are OpenBLAS's (the caller checked that no
+            # other Python thread runs), and the child calls neither BLAS nor
+            # anything that takes a lock they could hold.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory
+                pass
+        if pid == 0:
+            try:
+                os._exit(0 if second() else 1)
+            finally:  # second() raised
+                os._exit(1)
     try:
         result = first()
     except BaseException:
-        import signal
-        os.kill(pid, signal.SIGKILL)
+        if pid:
+            import signal
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        status = os.waitpid(pid, 0)[1]
-    return result, status == 0
+        done = bool(pid) and os.waitpid(pid, 0)[1] == 0
+    return result, done or bool(second())
 
 
 def _decode_entries(fh, out: np.ndarray, size: int = -1) -> bool:
@@ -403,8 +404,9 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
     2**(n-1) separators "], [", the entries up to the 2**(n-1)-th of them
     and the rest are decoded by _decode_entries here and in a forked child,
     each into its half of one shared vector; otherwise it decodes them all
-    here.  Any failed range or an all-zero vector gives None, for the whole
-    parse to decide.
+    here.  second() may run twice: a second half that the child did not
+    finish is decoded again here (see _in_halves).  A range that does not
+    decode or an all-zero vector gives None, for the whole parse to decide.
     """
     text = fh.read(len(_HEAD % 99))  # the longest head
     head = _SAVED_HEAD.match(text)
@@ -429,9 +431,8 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
             rest.seek(cut)
             return _decode_entries(rest, amps[half:])
 
-    done, child_done = _in_halves(
-        lambda: _decode_entries(fh, amps[:half], cut - start), second)
-    return _wrap(n, amps) if done and child_done and np.any(amps) else None
+    halves = _in_halves(True, lambda: _decode_entries(fh, amps[:half], cut - start), second)
+    return _wrap(n, amps) if all(halves) and np.any(amps) else None
 
 
 def _read_json(path):
@@ -454,12 +455,13 @@ def load_state(path, check_n=None) -> StateVector:
     2**n two-float lists first (about 130 bytes per amplitude): the peak is
     the vector plus a few slabs, whatever the file's size.  From n =
     _SPLIT_N on, the second half of the file is decoded meanwhile by a
-    forked child, which is reaped before this returns (see _splits).
-    check_n, if given, is called with the n of save_state's head before
-    any amplitude is decoded; what it raises propagates.  Any other file,
-    or one whose stream fails a check, is read again whole and parsed by
-    json.loads.  Values and errors, messages included, are those of
-    from_json_dict(json.load(file)).
+    forked child, which is reaped before this returns (see _splits); a
+    half that the child did not finish is decoded again here, in slabs,
+    so that half may be decoded twice.  check_n, if given, is called with
+    the n of save_state's head before any amplitude is decoded; what it
+    raises propagates.  Any other file, or one whose text fails to decode,
+    is read again whole and parsed by json.loads.  Values and errors,
+    messages included, are those of from_json_dict(json.load(file)).
     """
     info = os.stat(path)
     if stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
@@ -473,56 +475,54 @@ def load_state(path, check_n=None) -> StateVector:
 _SAVE_SLAB = 1 << 10  # amplitudes per formatting call of save_state
 
 
-def _write_rows(fh, rows, sep: bytes) -> bytes:
+def _write_rows(fh, rows, sep: bytes) -> None:
     """Write the [re, im] pairs of rows, float arrays of whole pairs, as
-    json.dumps spells them, joined by ", " and the first preceded by sep;
-    return the separator that a next pair needs.  Each slab of _SAVE_SLAB
-    pairs is one ("[%r, %r], " * k)[:-2] % pairs, which builds no pair
-    lists."""
+    json.dumps spells them, joined by ", " and the first preceded by sep:
+    b"" for a first half, b", " for a second half, which may be written
+    twice (see _write_pairs).  Each slab of _SAVE_SLAB pairs is one
+    ("[%r, %r], " * k)[:-2] % pairs, which builds no pair lists."""
     for row in rows:
         for start in range(0, row.size, 2 * _SAVE_SLAB):
             part = row[start:start + 2 * _SAVE_SLAB].tolist()
             fh.write(sep)
             fh.write(((_PAIR * (len(part) // 2))[:-2] % tuple(part)).encode())
             sep = b", "
-    return sep
 
 
 def _write_pairs(path, n: int, first, second, split: bool) -> None:
     """Write save_state's layout for n with the [re, im] pairs of the rows
     of first() and then of second(); the text does not depend on where
-    the rows split.
+    the rows split.  first() yields at least one pair.
 
     When split, a forked child writes second()'s pairs into an unlinked
     temporary file beside path while this process writes first()'s into
-    path, then appends the child's bytes, or writes second()'s itself if
-    the child failed or no temporary file could be made.
+    path, then appends that file's bytes.  If the child did not finish,
+    this process empties the file and writes them there again, so
+    second() may run twice.  Without the file they go straight to path.
     """
-    with open(path, "wb") as fh:
+    import contextlib
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
         fh.write(_HEAD % n)
         spare = None
         if split:
             import tempfile
-            try:
-                spare = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-            except OSError:  # the split needs it; the serial write does not
-                pass
-        if spare is None:
-            _write_rows(fh, second(), _write_rows(fh, first(), b""))
-        else:
-            with spare:
-                def child() -> bool:
-                    _write_rows(spare, second(), b", ")
-                    spare.flush()
-                    return True
+            with contextlib.suppress(OSError):  # the split needs it; the serial write does not
+                spare = stack.enter_context(
+                    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
 
-                sep, done = _in_halves(lambda: _write_rows(fh, first(), b""), child)
-                if done:
-                    import shutil
-                    spare.seek(0)
-                    shutil.copyfileobj(spare, fh)
-                else:
-                    _write_rows(fh, second(), sep)
+        def rest() -> bool:
+            out = spare or fh
+            if spare:  # a child that did not finish may have written part of it
+                spare.truncate(spare.seek(0))
+            _write_rows(out, second(), b", ")
+            out.flush()
+            return True
+
+        _in_halves(bool(spare), lambda: _write_rows(fh, first(), b""), rest)
+        if spare:
+            import shutil
+            spare.seek(0)
+            shutil.copyfileobj(spare, fh)
         fh.write(_TAIL + b"\n")
 
 
@@ -553,7 +553,8 @@ def _save_random_state(n: int, seed: int, path) -> float:
     math.fsum of the slots, exact and so the same in any order.  When
     _splits(n), a forked child draws the second half of the rows in each
     pass from both PCG64 streams advanced to its first row, and writes its
-    sums into shared slots.
+    sums into shared slots.  Each pass's second() may run twice (see
+    _in_halves); a rerun draws its rows afresh and rewrites their slots.
     """
     row = np.empty(min(_DRAW_SLAB, 1 << n))
     scratch = np.empty(min(_DRAW_STEP, row.size))
@@ -571,10 +572,7 @@ def _save_random_state(n: int, seed: int, path) -> float:
             sums[r] = np.add.reduce(np.square(x, out=x))
         return True
 
-    if not split:
-        squares(0, count)
-    elif not _in_halves(lambda: squares(0, mid), lambda: squares(mid, count))[1]:
-        squares(mid, count)  # the child failed
+    _in_halves(split, lambda: squares(0, mid), lambda: squares(mid, count))
     scale = 1.0 / math.sqrt(math.fsum(sums))
 
     def scaled(first, stop):

@@ -4,11 +4,13 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -755,21 +757,45 @@ def test_damage_in_one_half_gives_the_serial_error(tmp_path, monkeypatch, forks)
         assert split == serial == load_outcome(json_load_state, path), bad[-80:]
 
 
-def test_a_failed_child_leaves_the_outcome(tmp_path, monkeypatch):
-    # the load goes to the whole parse; a save and make random do the child's half
-    s = random_state(statevec._SPLIT_N + 2, 5)
-    want = io_outcomes(tmp_path, s, SPLIT_SEEDS)
-    pids, fork = [], os.fork
+def fail_children(monkeypatch, how):
+    """Make every forked child fail; return the children's pids.  "exit": it
+    exits 1 at once; "kill": it SIGKILLs itself at once; "late": it runs as
+    usual, but once it has written its rows to the save's temporary file it
+    writes a few more bytes there and SIGKILLs itself."""
+    pids, fork, write_rows, parent = [], os.fork, statevec._write_rows, os.getpid()
 
     def failing_fork():
         pid = fork()
-        if not pid:
+        if pid:
+            pids.append(pid)
+        elif how != "late":
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
             os._exit(1)
-        pids.append(pid)
         return pid
+
+    def dying_write_rows(fh, rows, sep):
+        write_rows(fh, rows, sep)
+        if os.getpid() != parent:
+            fh.write(b"[0, 0]")
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
     monkeypatch.setattr(os, "fork", failing_fork)
-    assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want
-    assert len(pids) == 2 + 2 * len(SPLIT_SEEDS)
+    if how == "late":
+        monkeypatch.setattr(statevec, "_write_rows", dying_write_rows)
+    return pids
+
+
+def test_a_failed_child_leaves_the_outcome(tmp_path, monkeypatch):
+    # this process does the half that the child did not finish: a save and
+    # make random write the serial bytes and norm bits, a load the same state
+    s = random_state(statevec._SPLIT_N + 2, 5)
+    want = io_outcomes(tmp_path, s, SPLIT_SEEDS)
+    for how in ("exit", "kill", "late"):
+        with monkeypatch.context() as patch:
+            pids = fail_children(patch, how)
+            assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want, how
+        assert len(pids) == 2 + 2 * len(SPLIT_SEEDS), how
 
     def no_process():  # out of process ids: this process does both halves
         pids.append(0)
@@ -779,14 +805,87 @@ def test_a_failed_child_leaves_the_outcome(tmp_path, monkeypatch):
     assert pids.count(0) == 2 + 2 * len(SPLIT_SEEDS)
 
 
-def test_a_failing_first_half_kills_and_reaps_its_child():
-    assert statevec._in_halves(lambda: "first", lambda: 1) == ("first", True)
-    assert statevec._in_halves(lambda: "first", lambda: 1 / 0) == ("first", False)
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_a_load_whose_child_fails_decodes_its_half_in_slabs(tmp_path, monkeypatch, how):
+    # the half that the child did not finish is decoded here, slab by slab,
+    # never by the whole parse, which would hold the text and 2**n pair lists
+    s = random_state(statevec._SPLIT_N + 2, 5)
+    path = tmp_path / "s.json"
+    save_state(s, path)
+    whole_reads = []
+    monkeypatch.setattr(statevec, "_read_json", lambda p, read=statevec._read_json:
+                        whole_reads.append(p) or read(p))
+    pids = fail_children(monkeypatch, how)
+    tracemalloc.start()
+    try:
+        loaded = load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert_reaped()
+    assert len(pids) == 1 and whole_reads == []
+    np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
+    # the vector is in an mmap, which tracemalloc does not see
+    assert peak < 12 * statevec._LOAD_SLAB, peak / statevec._LOAD_SLAB
+
+
+def test_a_failing_first_half_kills_and_reaps_its_child(forks):
+    me, ran = os.getpid(), []
+
+    def here_only():  # false in a child, which then exits 1
+        ran.append(os.getpid())
+        return os.getpid() == me
+    assert statevec._in_halves(True, lambda: "first", lambda: 1) == ("first", True)
+    assert statevec._in_halves(True, lambda: "first", lambda: 0) == ("first", False)
+    # a failed child's second() runs here; the child's own run left no trace here
+    assert statevec._in_halves(True, lambda: "first", here_only) == ("first", True)
+    assert ran == [me] and len(forks) == 3
+    assert_reaped()
+    # no split: no fork, and second() runs here after first()
+    del ran[:]
+    assert statevec._in_halves(False, lambda: ran.append("first") or 1, here_only) == (1, True)
+    assert ran == ["first", me] and len(forks) == 3
+
+    def fails_here():  # an error of the run here propagates; the child is reaped by then
+        if os.getpid() != me:
+            return False
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        raise ValueError("second half")
+    with pytest.raises(ValueError, match="second half"):
+        statevec._in_halves(True, lambda: "first", fails_here)
+    assert len(forks) == 4
+    assert_reaped()
+    # first() raising kills the child and reaps it, and second() does not run here
     start = time.monotonic()
     with pytest.raises(ZeroDivisionError):
-        statevec._in_halves(lambda: 1 / 0, lambda: time.sleep(60))
+        statevec._in_halves(True, lambda: 1 / 0, lambda: time.sleep(60))
     assert time.monotonic() - start < 30
+    assert len(forks) == 5
+    assert_reaped()
+
+
+def test_only_the_fork_warning_of_python_3_12_is_silenced(monkeypatch, forks):
+    # Python 3.12 warns in os.fork when the process has other threads, as it
+    # has with OpenBLAS's; no CI Python does, so a fork that warns stands in
+    fork = os.fork
+
+    def warning_fork(text):
+        def warned():
+            warnings.warn(text % os.getpid(), DeprecationWarning, stacklevel=2)
+            return fork()
+        return warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(os, "fork", warning_fork(
+            "This process (pid=%d) is multi-threaded, use of fork() may lead to deadlocks"
+            " in the child."))
+        assert statevec._in_halves(True, lambda: 1, lambda: True) == (1, True)
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "fork", warning_fork("fork() in pid %d is deprecated"))
+        with pytest.raises(DeprecationWarning, match="is deprecated"):
+            statevec._in_halves(True, lambda: 1, lambda: True)
+    assert len(forks) == 1
     assert_reaped()
 
 
