@@ -246,7 +246,7 @@ def _complex_pairs(entries: list, what: str) -> np.ndarray:
         raise ParseError(f"{what} out of the float range: {exc}") from None
     if not np.all(np.isfinite(pairs)):
         raise ParseError(f"{what}s must be finite (no NaN/Inf)")
-    return pairs[:, 0] + 1j * pairs[:, 1]
+    return pairs.view(np.complex128).ravel()  # keeps the sign of a -0.0 part
 
 
 def from_json_dict(doc) -> StateVector:
@@ -268,9 +268,8 @@ def from_json_dict(doc) -> StateVector:
     return _wrap(n, amps)
 
 
-_WS = re.compile(rb"[ \t\n\r]*").match  # JSON whitespace
 _LOAD_SLAB = 1 << 16  # bytes per read and per decode call of load_state
-_SPLIT_N = 14  # from this n on, a load or save runs in two halves (see _splits)
+_SPLIT_N = 14  # from this n on, a forked child does the second half of an I/O (see _splits)
 
 # save_state's layout: _HEAD % n, the [re, im] pairs joined by ", ", _TAIL and "\n"
 _HEAD, _TAIL = b'{"n": %d, "amplitudes": [', b"]}"
@@ -336,77 +335,71 @@ def _in_halves(split: bool, first, second):
 
 def _decode_entries(fh, out: np.ndarray, size: int = -1) -> bool:
     """Decode into out the [re, im] entries of fh's next size bytes, or of
-    all the rest; whether they are exactly out.size number pairs that are
-    followed by ", " or, in the rest, end the list.
+    all the rest; whether they are exactly out.size number pairs and the
+    range's text ends, up to JSON whitespace, with "]," or, in the rest,
+    with the list's "]]}".
 
-    The pair list is cut just after the first "]" at _LOAD_SLAB - 1 bytes
-    or more into the undecoded text; each cut must be followed by ",".  A
-    cut that meets the final entry reads on to the end of the range, where
-    that entry may be followed only by ", ", or in the rest the list's
-    "]]}" only by JSON whitespace.  Each slab is decoded and turned into complex values
-    before the next is read.  When every slab decodes to number pairs, the
-    range holds exactly their entries.  Bad UTF-8, text that is not number
-    pairs, a cut inside an entry or a wrong count gives False.
+    Each read is cut after its last "],", and the text before the cut is
+    decoded into out before the next read.  The decoded slabs are lists
+    of number pairs only if every cut lies between two entries.  Bad
+    UTF-8, text that is not number pairs, a cut inside an entry or a wrong
+    count gives False.
     """
-    end = b"]" + _TAIL if size < 0 else b"], "
-    text, count, eof = b"", 0, False
+    end = b"]" + _TAIL if size < 0 else b"],"
+    text, count = b"", 0
     try:
         while True:
-            stop = text.rfind(end) + 1 if eof else len(text)
-            if eof and (not stop or _WS(text, stop + len(end) - 1).end() < len(text)):
-                return False
-            hi = text.find(b"]", min(_LOAD_SLAB, stop) - 1, stop) + 1
-            comma = _WS(text, hi).end()
-            if not (hi and text.startswith(b",", comma) or eof and hi == stop):
-                if eof:
+            more = fh.read(_LOAD_SLAB if size < 0 else min(_LOAD_SLAB, size))
+            size -= len(more)
+            text += more
+            last = not more or size == 0
+            if last:
+                text = text.strip(b" \t\n\r")
+                if not text.endswith(end):
                     return False
-                more = fh.read(_LOAD_SLAB if size < 0 else min(_LOAD_SLAB, size))
-                size -= len(more)  # the cut or its comma lies beyond the text read
-                text += more
-                eof = not more or size == 0
+                hi = len(text) + 1 - len(end)
+            elif not (hi := text.rfind(b"],") + 1):
                 continue
             part = _complex_pairs(json.loads(f"[{text[:hi].decode()}]"), "amplitude")
             out[count:count + part.size] = part  # past out.size entries: a ValueError
             count += part.size
-            if eof and hi == stop:
+            if last:
                 return count == out.size
-            text = text[comma + 1:]
+            text = text[hi + 1:]
     except (ValueError, RecursionError):  # bad UTF-8, no pairs, a cut inside an entry or a string
         return False
 
 
 def _entry_offset(fh, count: int) -> int | None:
-    """The byte offset of the entry after the count-th "], [" from fh's
-    position on, or None if there are fewer."""
+    """The byte offset just after the count-th "]," from fh's position on,
+    or None if there are fewer."""
     pos, carry = fh.tell(), b""
     while chunk := fh.read(_LOAD_SLAB):
-        text = carry + chunk  # carry: a separator may straddle two reads
-        found = text.count(b"], [")
+        text = carry + chunk  # carry: a "]," may straddle two reads
+        found = text.count(b"],")
         if found >= count:
             at = -1
             for _ in range(count):
-                at = text.index(b"], [", at + 1)
-            return pos - len(carry) + at + 3
+                at = text.index(b"],", at + 1)
+            return pos - len(carry) + at + 2
         count -= found
         pos += len(chunk)
-        carry = text[-3:]
+        carry = text[-1:]
     return None
 
 
 def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
     """The state of a file in save_state's layout, opened as fh in binary
-    mode, decoded _LOAD_SLAB bytes at a time into one preallocated vector;
-    None for any other text.
+    mode; None for any other text.
 
-    The head is read first, and check_n gets its n before any amplitude is
-    decoded.  The vector is allocated only if the file can hold 2**n of the
-    shortest entry, "[0,0],".  When _splits(n) and the file has at least
-    2**(n-1) separators "], [", the entries up to the 2**(n-1)-th of them
-    and the rest are decoded by _decode_entries here and in a forked child,
-    each into its half of one shared vector; otherwise it decodes them all
-    here.  second() may run twice: a second half that the child did not
-    finish is decoded again here (see _in_halves).  A range that does not
-    decode or an all-zero vector gives None, for the whole parse to decide.
+    check_n gets the head's n before any amplitude is decoded.  The vector
+    is allocated only if the file can hold 2**n of the shortest entry,
+    "[0,0],", and has 2**(n-1) "],".  The entries up to the 2**(n-1)-th
+    "]," and the rest are decoded by _decode_entries into the two halves
+    of the vector, the rest in a forked child when _splits(n); the vector
+    then lies in a shared mmap.  A rest that the child did not finish is
+    decoded again here (see _in_halves).  A range that does not decode or
+    an all-zero vector gives None, for the whole parse to decide.
     """
     text = fh.read(len(_HEAD % 99))  # the longest head
     head = _SAVED_HEAD.match(text)
@@ -418,20 +411,19 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
     if 6 << n > size:
         return None
     start, half = fh.seek(head.end()), 1 << (n - 1)
-    cut = _entry_offset(fh, half) if _splits(n) else None
-    fh.seek(start)
+    cut = _entry_offset(fh, half)
     if cut is None:
-        amps = np.empty(1 << n, dtype=np.complex128)
-        done = _decode_entries(fh, amps)
-        return _wrap(n, amps) if done and np.any(amps) else None
-    amps = _shared(1 << n, np.complex128)
+        return None
+    fh.seek(start)
+    split = _splits(n)
+    amps = _shared(1 << n, np.complex128) if split else np.empty(1 << n, dtype=np.complex128)
 
     def second() -> bool:
         with open(path, "rb") as rest:
             rest.seek(cut)
             return _decode_entries(rest, amps[half:])
 
-    halves = _in_halves(True, lambda: _decode_entries(fh, amps[:half], cut - start), second)
+    halves = _in_halves(split, lambda: _decode_entries(fh, amps[:half], cut - start), second)
     return _wrap(n, amps) if all(halves) and np.any(amps) else None
 
 
@@ -449,16 +441,16 @@ def _read_json(path):
 def load_state(path, check_n=None) -> StateVector:
     """from_json_dict(json.load(file)), streaming a file in save_state's layout.
 
-    A regular file in save_state's layout is read and decoded in slabs of
-    about _LOAD_SLAB bytes, each written into one preallocated vector
-    before the next is read, where json.load would hold the text and build
-    2**n two-float lists first (about 130 bytes per amplitude): the peak is
-    the vector plus a few slabs, whatever the file's size.  From n =
-    _SPLIT_N on, the second half of the file is decoded meanwhile by a
-    forked child, which is reaped before this returns (see _splits); a
-    half that the child did not finish is decoded again here, in slabs,
-    so that half may be decoded twice.  check_n, if given, is called with
-    the n of save_state's head before any amplitude is decoded; what it
+    A regular file in save_state's layout is decoded as two byte ranges,
+    cut after its 2**(n-1)-th "],", in slabs of about _LOAD_SLAB bytes,
+    each written into one preallocated vector before the next is read,
+    where json.load would hold the text and build 2**n two-float lists
+    first (about 130 bytes per amplitude): the peak is the vector plus a
+    few slabs, whatever the file's size.  From n = _SPLIT_N on, a forked
+    child decodes the second range meanwhile and is reaped before this
+    returns (see _splits); a range that the child did not finish is
+    decoded again here, in slabs.  check_n, if given, is called with the
+    n of save_state's head before any amplitude is decoded; what it
     raises propagates.  Any other file, or one whose text fails to decode,
     is read again whole and parsed by json.loads.  Values and errors,
     messages included, are those of from_json_dict(json.load(file)).

@@ -37,7 +37,7 @@ from sloccinv import (
 )
 from sloccinv import statevec
 from sloccinv.errors import NormOverflow, SloccInvError
-from sloccinv.slocc import apply_chain, chain_of
+from sloccinv.slocc import apply_chain, chain_of, ops_from_json_dict
 
 SQ2 = math.sqrt(0.5)
 
@@ -369,6 +369,22 @@ def test_json_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(loaded.amplitudes, s.amplitudes)
 
 
+def test_signed_zero_parts_survive_a_load(tmp_path):
+    # -0.0 == 0.0, so the bits are compared
+    path = tmp_path / "s.json"
+    path.write_text('{"n": 1, "amplitudes": [[0.6, -0.0], [-0.0, 0.8]]}\n')
+    from_file = load_state(path)
+    assert from_file.amplitudes.view(np.uint64).tolist() == (
+        np.array([0.6, -0.0, -0.0, 0.8]).view(np.uint64).tolist())
+    for s in (new_state(2, [-0.0, -1j, 1e-300, 0.1 + 0.2j]), from_file):
+        save_state(s, path)
+        for loaded in (load_state(path), from_json_dict(to_json_dict(s))):
+            np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64),
+                                          s.amplitudes.view(np.uint64))
+    ops = ops_from_json_dict({"ops": [[[1, -0.0], [0, 0], [-0.0, 0], [1, 0]]]}).ops
+    assert np.signbit(ops.view(np.float64)).ravel().tolist() == [0, 1, 0, 0, 1, 0, 0, 0]
+
+
 def test_json_schema_shape():
     doc = to_json_dict(ghz(2))
     assert doc["n"] == 2
@@ -513,6 +529,8 @@ STATE_TEXT_VARIANTS = [
     '{"n": 1, "amplitudes": [[true, 0], ["x", 0]]}',
     '{"n": 1, "amplitudes": [[1e999, 0], [0, 0.8]]}',
     '{"n": 1, "amplitudes": [[0, 0], [-0.0, 0.0]]}',
+    # save_state's head with whitespace before a comma, which JSON allows
+    '{"n": 1, "amplitudes": [[0.6, 0] , [0, 0.8]]}',
     # save_state's head and tail around a count or an n outside the schema
     '{"n": 2, "amplitudes": %s}' % PAIRS,
     '{"n": 0, "amplitudes": [[1, 0]]}',
