@@ -13,11 +13,10 @@ import argparse
 import json
 import math
 import sys
-import textwrap
 
 import numpy as np
 
-from . import classify, criteria, invariant, oracle, signtab, slocc, statevec
+from . import statevec  # each command imports the other modules it runs
 from .errors import BadArgs, SloccInvError
 
 DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply, compare, invariant and a
@@ -56,6 +55,7 @@ def _check_vector_n(n: int, max_n: int, floor: int = 1) -> int:
 
 def _check_f_fits(n: int, max_n: int) -> None:
     """Refuse F work below n=3, above the cap or over the budget, before any tuple is built."""
+    from . import criteria
     _check_n(n, max_n, floor=3)
     if n >= 63:  # f_enumerate's int64 subscripts reach 2**n - 1; the count has ~1.2n digits
         raise BadArgs(f"F criteria at n={n} need subscripts up to 2^{n} - 1, beyond int64")
@@ -129,6 +129,7 @@ def _dumps(doc: dict, *slots) -> None:
     each converted to Python values only when written, so neither the
     report nor its values as Python objects are ever whole in memory.
     """
+    import textwrap
     text = json.dumps(doc, indent=2)
     found = sorted((at, json.dumps(marker), row, columns) for marker, row, columns in slots
                    if (at := text.find(json.dumps(marker))) >= 0)
@@ -176,6 +177,7 @@ def _signature_doc(sig: criteria.CriteriaSignature) -> dict:
 
 
 def cmd_invariant(args) -> int:
+    from . import criteria, invariant
     s = _load(args.input, args.max_n)
     report = invariant.invariant_report(s, args.tol)
     fields = {name: _pair(value) for name, value in vars(report).items()}  # in field order
@@ -193,6 +195,7 @@ def cmd_invariant(args) -> int:
         doc["criteria_note"] = (f"criteria are included for 3 <= n <= "
                                 f"{criteria._F_SIGNATURE_MAX_N}; use the criteria command")
     if args.oracle:
+        from . import oracle
         values = {label: _pair(oracle.evaluate(label, s)) for label in oracle.labels_for(s.n)}
         if values:
             doc["oracle"] = values
@@ -201,6 +204,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_criteria(args) -> int:
+    from . import criteria, invariant
     if args.action == "enumerate":
         given = {"--input": args.input is not None, "--set": args.set is not None,
                  "--tol": args.tol != invariant.DEFAULT_TOL}
@@ -244,6 +248,7 @@ def cmd_compare(args) -> int:
     """classify.compare of the two files, one state at a time: the first
     state's evidence is evaluated and the state dropped before the second
     is loaded.  Errors come in compare's order, load errors first."""
+    from . import classify
     first = classify._evidence(_load(args.state_a, args.max_n), args.tol)
     verdict = classify._verdict(first, classify._evidence(_load(args.state_b, args.max_n),
                                                           args.tol))
@@ -265,6 +270,7 @@ def cmd_apply(args) -> int:
     load or save forks never runs beside the fold's OpenBLAS threads: the
     GEMM passes slow sharply when another CPU-bound process shares the CPUs
     they use."""
+    from . import slocc
     s = _load(args.input, args.max_n)
     chain = slocc.ops_from_json_dict(statevec._read_json(args.ops))
     slocc._check_length(chain, s.n)
@@ -283,6 +289,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import slocc
     _check_vector_n(args.n, args.max_n, floor=2)
     if args.theorem == 1:
         err = slocc.verify_theorem1(args.n, args.trials, args.seed)
@@ -294,6 +301,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_signs(args) -> int:
+    from . import signtab
     _check_n(args.n, args.max_n, floor=2)
     table = signtab.sign_star_table(args.n) if args.star else signtab.sign_table(args.n)
     print(json.dumps(table.tolist()))
@@ -313,10 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     max_n.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                        help=f"qubit-count cap (default {DEFAULT_MAX_N})")
     tol = _Parser(add_help=False)
-    tol.add_argument("--tol", default=invariant.DEFAULT_TOL,
+    # invariant.DEFAULT_TOL as text: argparse parses a str default with the
+    # type, so building the parser imports no invariant module
+    tol.add_argument("--tol", default="1e-10",
                      type=_checked(float, lambda t: math.isfinite(t) and t > 0,
                                    "finite and positive"),
-                     help="vanishing tolerance, finite and positive (default 1e-10)")
+                     help="vanishing tolerance, finite and positive (default %(default)s)")
     seed = _Parser(add_help=False)
     seed.add_argument("--seed", default=0,
                       type=_checked(int, lambda t: t >= 0, "non-negative"),

@@ -9,6 +9,7 @@ amplitudes (see README for the resulting scaling laws).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -396,10 +397,12 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
     is allocated only if the file can hold 2**n of the shortest entry,
     "[0,0],", and has 2**(n-1) "],".  The entries up to the 2**(n-1)-th
     "]," and the rest are decoded by _decode_entries into the two halves
-    of the vector, the rest in a forked child when _splits(n); the vector
-    then lies in a shared mmap.  A rest that the child did not finish is
-    decoded again here (see _in_halves).  A range that does not decode or
-    an all-zero vector gives None, for the whole parse to decide.
+    of the vector, the rest in a forked child, from its own open of path,
+    when _splits(n); the vector then lies in a shared mmap.  A rest that
+    the child did not finish is decoded again here (see _in_halves), from
+    a new open too.  Without a split, fh reads on from the cut, so the
+    file is opened once.  A range that does not decode or an all-zero
+    vector gives None, for the whole parse to decide.
     """
     text = fh.read(len(_HEAD % 99))  # the longest head
     head = _SAVED_HEAD.match(text)
@@ -418,8 +421,8 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
     split = _splits(n)
     amps = _shared(1 << n, np.complex128) if split else np.empty(1 << n, dtype=np.complex128)
 
-    def second() -> bool:
-        with open(path, "rb") as rest:
+    def second() -> bool:  # a forked child must not move fh's offset, which it shares
+        with open(path, "rb") if split else contextlib.nullcontext(fh) as rest:
             rest.seek(cut)
             return _decode_entries(rest, amps[half:])
 
@@ -492,7 +495,6 @@ def _write_pairs(path, n: int, first, second, split: bool) -> None:
     this process empties the file and writes them there again, so
     second() may run twice.  Without the file they go straight to path.
     """
-    import contextlib
     with open(path, "wb") as fh, contextlib.ExitStack() as stack:
         fh.write(_HEAD % n)
         spare = None

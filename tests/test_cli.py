@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files, JSON documents, exit codes."""
 
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -647,7 +648,7 @@ def test_allocation_failure_exits_one(tmp_path, capsys, monkeypatch, module, nam
         raise MemoryError(message)
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(getattr(cli, module), name, refuse)
+    monkeypatch.setattr(importlib.import_module(f"sloccinv.{module}"), name, refuse)
     code, out, err = run(capsys, *argv)
     assert_one_error_line(code, out, err)
     assert err == f"error: {message or 'MemoryError'}\n"
@@ -919,3 +920,50 @@ def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     for command, digest in REPORT_DIGESTS:
         out = run(capsys, *command.split())[1]
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# The sloccinv modules that `python -m sloccinv.cli` imports for each command,
+# besides errors and statevec: a command compiles and runs only what it calls.
+COMMAND_MODULES = [
+    ("make random --n 8 --seed 3 -o a.json", set()),
+    ("make complement a.json -o c.json", set()),
+    ("apply --input a.json --ops ops.json --output b.json", {"slocc", "invariant", "signtab"}),
+    ("compare a.json b.json", {"classify", "criteria", "slocc", "invariant", "signtab"}),
+    ("invariant --input a.json", {"criteria", "invariant", "signtab"}),
+    ("invariant --input a.json --oracle", {"criteria", "invariant", "oracle", "signtab"}),
+    ("verify --theorem 1 --n 6 --trials 2 --seed 3", {"slocc", "invariant", "signtab"}),
+    ("criteria --input a.json --set d", {"criteria", "invariant", "signtab"}),
+    ("criteria enumerate --n 4", {"criteria", "invariant", "signtab"}),
+    ("signs --n 4", {"signtab"}),
+]
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    child = ("import json, runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('sloccinv.cli', run_name='__main__', alter_sys=True)\n"
+             "finally:\n"
+             "    print(json.dumps(sorted(m for m in sys.modules if m.startswith('sloccinv'))),\n"
+             "          file=sys.stderr)\n")
+    src = str(Path(statevec.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    with open(tmp_path / "ops.json", "w", encoding="utf-8") as fh:
+        json.dump(slocc.ops_json_dict(slocc.random_chain(8, 3, unit_det=True)), fh)
+    for command, modules in COMMAND_MODULES:
+        done = subprocess.run([sys.executable, "-c", child, *command.split()], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (command, done.stderr)
+        imported = json.loads(done.stderr.splitlines()[-1])
+        want = {"sloccinv", "sloccinv.errors", "sloccinv.statevec",
+                *(f"sloccinv.{m}" for m in modules)}
+        assert set(imported) == want, command
+
+
+def test_the_tol_default_is_the_invariant_default():
+    # the parser spells it as text, so that building it imports no invariant module
+    from sloccinv.invariant import DEFAULT_TOL
+    for command in (["invariant", "--input", "x.json"], ["criteria", "enumerate"],
+                    ["compare", "a.json", "b.json"]):
+        tol = build_parser().parse_args(command).tol
+        assert type(tol) is float and tol == DEFAULT_TOL, command

@@ -622,6 +622,27 @@ def test_load_state_reads_a_pipe_once():
     np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
 
 
+def test_a_load_opens_its_file_once_here(tmp_path, monkeypatch, forks):
+    # below _SPLIT_N the second range is read on from the first's handle; from
+    # _SPLIT_N on the child opens the file itself, which this process cannot count
+    opens = []
+
+    def counting_open(file, *args, **kwargs):
+        opens.append(file)
+        return open(file, *args, **kwargs)
+    for n in (statevec._SPLIT_N - 1, statevec._SPLIT_N):
+        s, path = random_state(n, 2), tmp_path / f"r{n}.json"
+        save_state(s, path)
+        del forks[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(statevec, "open", counting_open, raising=False)
+            loaded = load_state(path)
+        assert opens == [path] and len(forks) == (n >= statevec._SPLIT_N), (n, opens)
+        del opens[:]
+        np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64),
+                                      s.amplitudes.view(np.uint64))
+
+
 def test_load_state_holds_one_slab_of_pair_lists(tmp_path, monkeypatch):
     # json.load built 2**16 two-float lists before converting any: its peak
     # was 12.05 MiB for the 3.01 MiB n=16 file, text plus 9 vectors.  Reading
