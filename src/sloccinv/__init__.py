@@ -52,20 +52,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZero", "BadArgs", "BadWitness", "CriteriaSignature",
-    "DEFAULT_TOL", "EQUIVALENT_BY_CONSTRUCTION", "Evidence", "IndexOutOfRange",
-    "InvariantReport", "LengthMismatch", "LocalOperatorChain", "NormOverflow",
-    "ORACLE_LABELS", "PROVABLY_INEQUIVALENT", "ParityError", "ParseError",
-    "SizeMismatch", "SloccInvError", "StateVector", "TooFewQubits",
-    "UNDETERMINED", "Verdict", "achieved_pair_sums", "apply_chain", "chain_of",
-    "cluster_c", "compare", "complement", "criteria_signature",
-    "det_product", "dual_equivalence", "f_enumerate", "f_evaluate",
-    "from_json_dict", "ghz", "identity_chain", "invariant_report", "iv_bar",
-    "iv_star", "iv_star_lower", "iv_star_shifted", "load_state",
-    "new_state", "normalize", "odd_invariant", "oracle_iv2",
-    "oracle_iv4", "oracle_iv6", "oracle_odd3", "oracle_odd5", "random_chain",
-    "random_state", "save_state", "sigma_x_chain", "sign_star_table",
-    "sign_table", "tau", "tensor", "to_json_dict", "vanishing",
-    "verify_theorem1", "verify_theorem2", "w_state",
-]
+__all__ = sorted(_HOME)

@@ -46,21 +46,22 @@ class StateVector:
 
 
 def _norm_squared(amps: np.ndarray, k: int = 0) -> float:
-    """|2**-k * amps|^2 through one slab of min(_DRAW_SLAB, amps.size) floats."""
-    return _sum_of_squares(amps, np.empty(min(_DRAW_SLAB, amps.size)), k)
-
-
-def _sum_of_squares(amps: np.ndarray, slab: np.ndarray, k: int = 0) -> float:
-    """|2**-k * amps|^2 in a fixed order that no BLAS thread count changes: each
-    slab.size-float row (slab.size divides the float count) is scaled into slab,
-    exactly (or squared straight into slab when k = 0), squared and summed by
-    np.add.reduce, and the rows are combined by math.fsum.  No scaled copy of
-    amps is made."""
+    """|2**-k * amps|^2 by _sum_of_squares over rows of min(_DRAW_SLAB,
+    amps.size) floats, a size that divides the float count, each scaled
+    exactly by 2**-k into one slab, or read in place when k = 0.  No
+    scaled copy of amps is made."""
+    slab = np.empty(min(_DRAW_SLAB, amps.size))
     rows = amps.view(np.float64).reshape(-1, slab.size)
+    return _sum_of_squares((np.ldexp(row, -k, out=slab) for row in rows) if k else rows, slab)
+
+
+def _sum_of_squares(rows, out: np.ndarray) -> float:
+    """The sum of the squares of float rows in a fixed order that no BLAS
+    thread count changes: each row is squared into out (which may be the
+    row itself) and summed by np.add.reduce, and math.fsum rounds the exact
+    sum of the rows' sums once.  So the rows' partition fixes the bits."""
     with np.errstate(over="ignore"):  # an inf norm is a result: callers refuse or print it
-        return math.fsum(np.add.reduce(np.square(np.ldexp(row, -k, out=slab) if k else row,
-                                                 out=slab))
-                         for row in rows)
+        return math.fsum(np.add.reduce(np.square(row, out=out)) for row in rows)
 
 
 def _wrap(n: int, amplitudes: np.ndarray) -> StateVector:
@@ -162,7 +163,7 @@ def _drawn_rows(rng: np.random.Generator, n: int, out: np.ndarray, scratch: np.n
     rng.uniform(-1, 1, 2**n) and a second such call would leave it.
 
     A row is min(_DRAW_SLAB, 2**n) floats of [re, im] pairs, the rows of
-    _sum_of_squares.  Real parts come from rng, imaginary parts from a
+    _norm_squared.  Real parts come from rng, imaginary parts from a
     copy of its PCG64 advanced by 2**n; uniform(-1, 1) is -1 + 2r with one
     rounding (2r is exact).  A later first row advances both streams past
     the parts of the rows before it, so every row has the bits of the whole
@@ -206,8 +207,7 @@ def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = np.empty(1 << n, dtype=np.complex128)
     floats = amps.view(np.float64)
     slab = np.empty(min(_DRAW_SLAB, amps.size))
-    rows = _drawn_rows(rng, n, floats, slab)
-    norm = math.sqrt(math.fsum(np.add.reduce(np.square(row, out=slab)) for row in rows))
+    norm = math.sqrt(_sum_of_squares(_drawn_rows(rng, n, floats, slab), slab))
     floats *= 1.0 / norm
     return amps
 
@@ -286,22 +286,16 @@ def _splits(n: int) -> bool:
     return n >= _SPLIT_N and hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _shared(count: int, dtype) -> np.ndarray:
-    """count zeros of dtype in a shared anonymous mmap, so that what a forked
-    child writes there is in place for its parent."""
-    import mmap
-    return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype=dtype)
-
-
 def _in_halves(split: bool, first, second):
     """(first(), whether second() returned true).  When split, second() runs
-    meanwhile in a forked child; it runs here after first() when not split,
-    when os.fork raises or when the child did not exit 0, so it may run
-    twice and must then redo all it did.  A child runs no BLAS, imports
-    nothing, touches no stdio and ends in os._exit from a finally, exit
-    code 0 only when second() returned true.  If first() raises, the child
-    is killed; it is always reaped before second() runs here or this
-    returns or raises.
+    meanwhile in a forked child.  It runs here after first() when not
+    split, when os.fork raises, or when the child did not finish: it raised
+    or was killed.  So it may run twice and must then redo all it did.  A
+    child's false is final: it is not run again here.  A child runs no
+    BLAS, imports nothing, touches no stdio and ends in os._exit, with
+    status 0 when second() returned true, 2 when it returned false and 1
+    from a finally when it raised.  If first() raises, the child is killed;
+    it is always reaped before second() runs here or this returns or raises.
     """
     pid = None
     if split:
@@ -319,7 +313,7 @@ def _in_halves(split: bool, first, second):
                 pass
         if pid == 0:
             try:
-                os._exit(0 if second() else 1)
+                os._exit(0 if second() else 2)
             finally:  # second() raised
                 os._exit(1)
     try:
@@ -330,8 +324,8 @@ def _in_halves(split: bool, first, second):
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        done = bool(pid) and os.waitpid(pid, 0)[1] == 0
-    return result, done or bool(second())
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else None
+    return result, code == 0 if code in (0, 2) else bool(second())
 
 
 def _decode_entries(fh, out: np.ndarray, size: int = -1) -> bool:
@@ -419,7 +413,11 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
         return None
     fh.seek(start)
     split = _splits(n)
-    amps = _shared(1 << n, np.complex128) if split else np.empty(1 << n, dtype=np.complex128)
+    if split:  # a shared anonymous map: what the child writes there is in place here
+        import mmap
+        amps = np.frombuffer(mmap.mmap(-1, 16 << n), dtype=np.complex128)
+    else:
+        amps = np.empty(1 << n, dtype=np.complex128)
 
     def second() -> bool:  # a forked child must not move fh's offset, which it shares
         with open(path, "rb") if split else contextlib.nullcontext(fh) as rest:
@@ -539,41 +537,24 @@ def save_state(s: StateVector, path) -> None:
 
 def _save_random_state(n: int, seed: int, path) -> float:
     """save_state(random_state(n, seed), path), returning the saved state's
-    norm, bit for bit, without a 2**n vector: the draw is made twice
-    through one reused row, first for its norm, then scaled and encoded
-    row by row.  A row's squares are taken in place, after its encoding.
-
-    Each row's sum of squares goes to its own slot, and a norm is the
-    math.fsum of the slots, exact and so the same in any order.  When
-    _splits(n), a forked child draws the second half of the rows in each
-    pass from both PCG64 streams advanced to its first row, and writes its
-    sums into shared slots.  Each pass's second() may run twice (see
-    _in_halves); a rerun draws its rows afresh and rewrites their slots.
+    norm, bit for bit, without a 2**n vector: the draw is made three times
+    through one reused row, for its norm, then scaled and encoded row by
+    row, then scaled again for the norm of what was written.  When
+    _splits(n), a forked child encodes the second half of the rows (see
+    _write_pairs), drawn from both PCG64 streams advanced to its first
+    row; both norms are taken here.
     """
     row = np.empty(min(_DRAW_SLAB, 1 << n))
     scratch = np.empty(min(_DRAW_STEP, row.size))
     count = (2 << n) // row.size  # rows of the draw, at least two
-    split, mid = _splits(n), count // 2
-    sums = _shared(count, np.float64) if split else np.empty(count)
     default_rng = np.random.default_rng  # numpy.random is imported here, not in a child
 
-    def drawn(first, stop):
-        rows = _drawn_rows(default_rng(seed), n, row, scratch, first, stop)
-        return enumerate(rows, first)
-
-    def squares(first, stop) -> bool:
-        for r, x in drawn(first, stop):
-            sums[r] = np.add.reduce(np.square(x, out=x))
-        return True
-
-    _in_halves(split, lambda: squares(0, mid), lambda: squares(mid, count))
-    scale = 1.0 / math.sqrt(math.fsum(sums))
-
-    def scaled(first, stop):
-        for r, x in drawn(first, stop):
+    def scaled(first, stop, scale=1.0):
+        for x in _drawn_rows(default_rng(seed), n, row, scratch, first, stop):
             x *= scale
             yield x
-            sums[r] = np.add.reduce(np.square(x, out=x))
 
-    _write_pairs(path, n, lambda: scaled(0, mid), lambda: scaled(mid, count), split)
-    return math.sqrt(math.fsum(sums))
+    scale = 1.0 / math.sqrt(_sum_of_squares(scaled(0, count), row))
+    _write_pairs(path, n, lambda: scaled(0, count // 2, scale),
+                 lambda: scaled(count // 2, count, scale), _splits(n))
+    return math.sqrt(_sum_of_squares(scaled(0, count, scale), row))

@@ -735,14 +735,14 @@ SPLIT_SEEDS = (0, 7, 2**31 - 1)
 
 
 def test_split_and_serial_io_agree(tmp_path, monkeypatch, forks):
-    # from _SPLIT_N on a save and a load fork one child each and make random
-    # two; the serial path runs with the size test patched above n
+    # from _SPLIT_N on a save, a load and make random fork one child each;
+    # the serial path runs with the size test patched above n
     split_n = statevec._SPLIT_N
     for n in range(split_n - 1, 21):
         s = random_state(n, n)
         split = io_outcomes(tmp_path, s, SPLIT_SEEDS)
         assert split[1] == (n, hashlib.sha256(s.amplitudes.tobytes()).hexdigest())
-        assert len(forks) == (2 + 2 * len(SPLIT_SEEDS) if n >= split_n else 0), n
+        assert len(forks) == (2 + len(SPLIT_SEEDS) if n >= split_n else 0), n
         del forks[:]
         monkeypatch.setattr(statevec, "_SPLIT_N", n + 1)
         assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == split, n
@@ -796,6 +796,25 @@ def test_damage_in_one_half_gives_the_serial_error(tmp_path, monkeypatch, forks)
         assert split == serial == load_outcome(json_load_state, path), bad[-80:]
 
 
+
+def test_a_second_half_that_does_not_decode_is_decoded_once(tmp_path, monkeypatch, forks):
+    # the child's false is final: this process decodes the first range only,
+    # and the whole parse gives the error
+    n = statevec._SPLIT_N + 1
+    path = tmp_path / "s.json"
+    save_state(random_state(n, 3), path)
+    data = path.read_bytes()
+    past = data.index(b"], [", len(data) * 3 // 4) + 3  # an entry in the second half
+    path.write_bytes(data[:past] + b"[NaN, 0]" + data[data.index(b"]", past) + 1:])
+    me, decoded = os.getpid(), []
+    monkeypatch.setattr(statevec, "_decode_entries", lambda *args, decode=statevec._decode_entries:
+                        decoded.append(os.getpid()) or decode(*args))
+    del forks[:]
+    outcome = load_outcome(load_state, path)
+    assert outcome[0] is ParseError and outcome == load_outcome(json_load_state, path)
+    assert decoded == [me] and len(forks) == 1
+    assert_reaped()
+
 def fail_children(monkeypatch, how):
     """Make every forked child fail; return the children's pids.  "exit": it
     exits 1 at once; "kill": it SIGKILLs itself at once; "late": it runs as
@@ -834,14 +853,14 @@ def test_a_failed_child_leaves_the_outcome(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             pids = fail_children(patch, how)
             assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want, how
-        assert len(pids) == 2 + 2 * len(SPLIT_SEEDS), how
+        assert len(pids) == 2 + len(SPLIT_SEEDS), how
 
     def no_process():  # out of process ids: this process does both halves
         pids.append(0)
         raise BlockingIOError("fork: Resource temporarily unavailable")
     monkeypatch.setattr(os, "fork", no_process)
     assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want
-    assert pids.count(0) == 2 + 2 * len(SPLIT_SEEDS)
+    assert pids.count(0) == 2 + len(SPLIT_SEEDS)
 
 
 @pytest.mark.parametrize("how", ["exit", "kill"])
@@ -871,7 +890,13 @@ def test_a_load_whose_child_fails_decodes_its_half_in_slabs(tmp_path, monkeypatc
 def test_a_failing_first_half_kills_and_reaps_its_child(forks):
     me, ran = os.getpid(), []
 
-    def here_only():  # false in a child, which then exits 1
+    def here_only():  # raises in a child, which then exits 1
+        ran.append(os.getpid())
+        if os.getpid() != me:
+            raise RuntimeError("second half")
+        return True
+
+    def true_here_only():  # false in a child, which then exits 2
         ran.append(os.getpid())
         return os.getpid() == me
     assert statevec._in_halves(True, lambda: "first", lambda: 1) == ("first", True)
@@ -879,28 +904,32 @@ def test_a_failing_first_half_kills_and_reaps_its_child(forks):
     # a failed child's second() runs here; the child's own run left no trace here
     assert statevec._in_halves(True, lambda: "first", here_only) == ("first", True)
     assert ran == [me] and len(forks) == 3
+    # a child's false is final: second() does not run here, though it would return true
+    del ran[:]
+    assert statevec._in_halves(True, lambda: "first", true_here_only) == ("first", False)
+    assert ran == [] and len(forks) == 4
     assert_reaped()
     # no split: no fork, and second() runs here after first()
     del ran[:]
     assert statevec._in_halves(False, lambda: ran.append("first") or 1, here_only) == (1, True)
-    assert ran == ["first", me] and len(forks) == 3
+    assert ran == ["first", me] and len(forks) == 4
 
     def fails_here():  # an error of the run here propagates; the child is reaped by then
         if os.getpid() != me:
-            return False
+            raise RuntimeError("second half")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         raise ValueError("second half")
     with pytest.raises(ValueError, match="second half"):
         statevec._in_halves(True, lambda: "first", fails_here)
-    assert len(forks) == 4
+    assert len(forks) == 5
     assert_reaped()
     # first() raising kills the child and reaps it, and second() does not run here
     start = time.monotonic()
     with pytest.raises(ZeroDivisionError):
         statevec._in_halves(True, lambda: 1 / 0, lambda: time.sleep(60))
     assert time.monotonic() - start < 30
-    assert len(forks) == 5
+    assert len(forks) == 6
     assert_reaped()
 
 
