@@ -79,14 +79,14 @@ _D_MINORS = (((1, 4, 0, 5), (3, 6, 2, 7)),
              ((3, 5, 1, 7), (2, 4, 0, 6)))
 
 
-def _d_values(amplitudes: np.ndarray, n: int, lo: int = 0, hi: int | None = None,
+def _d_values(amplitudes: np.ndarray, lo: int = 0, hi: int | None = None,
               exponent: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) arrays of shape (hi - lo, 3): row i - lo holds D1..D3 of block i
-    of 2**-exponent * amplitudes, for the rows [lo, hi) of 2**(n-4) (all by default)."""
-    if n < 4:
-        raise TooFewQubits(f"D-criteria need n >= 4, got {n}")
+    of 2**-exponent * amplitudes, for rows [lo, hi) of amplitudes.size // 16 (all by default)."""
+    if amplitudes.size < 16:
+        raise TooFewQubits(f"D-criteria need n >= 4, got {amplitudes.size.bit_length() - 1}")
     blocks = amplitudes.reshape(-1, 8)
-    hi = 1 << (n - 4) if hi is None else hi
+    hi = len(blocks) // 2 if hi is None else hi
     front, back = blocks[lo:hi], blocks[::-1][lo:hi]  # back[i-lo] = a[2^n-8i-8 : 2^n-8i]
     if exponent:  # scale the block's rows, exactly
         front, back = (np.ldexp(b.view(np.float64), -exponent).view(np.complex128)
@@ -233,7 +233,7 @@ def criteria_signature(s: StateVector, tol: float = DEFAULT_TOL,
     k = _exponent(a)
     nsq = _norm_squared(a, k)
     d_rows = 1 << (s.n - 4) if s.n >= 4 else 0
-    d = _decide(*_in_blocks((d_rows, 3), _D_BLOCK, lambda lo, hi: _d_values(a, s.n, lo, hi, k)),
+    d = _decide(*_in_blocks((d_rows, 3), _D_BLOCK, lambda lo, hi: _d_values(a, lo, hi, k)),
                 nsq, tol, 4, k)
     if include_f is None:
         include_f = s.n <= _F_SIGNATURE_MAX_N

@@ -51,40 +51,37 @@ _LANES = 8192  # even, so interleaved re/im floats never share a lane; a slab is
 
 
 class _CompensatedAccumulator:
-    """Compensated sum over slabs of at most _LANES // 2 complex terms.
+    """Compensated sum over one or more slabs of at most _LANES // 2 complex
+    terms, none wider than the first.
 
     A slab is viewed as interleaved re/im float64, and its float j is
     added into lane j by Knuth's branch-free TwoSum, whose exact rounding
     error goes into the lane's compensation: the wide-lane form of Ogita,
-    Rump & Oishi's Sum2.  Real and imaginary parts keep their lanes.  The
-    lane totals and compensations of the widest slab are combined exactly
-    with math.fsum, so the result is deterministic and immune to
-    cancellation ordering; one slab has one float per lane, so its sum is
-    exactly math.fsum's.
+    Rump & Oishi's Sum2.  Real and imaginary parts keep their lanes, which
+    the first slab allocates as wide as itself.  The lane totals and
+    compensations are combined exactly with math.fsum, so the result is
+    deterministic and immune to cancellation ordering; one slab has one
+    float per lane, so its sum is exactly math.fsum's.
     """
 
-    def __init__(self):
-        self._used = 0  # lanes past the widest slab hold +0.0
-        self._total = np.zeros(_LANES)
-        self._comp = np.zeros(_LANES)
-        self._scratch = np.empty((3, _LANES))
+    _lanes = None  # total, comp and the three TwoSum temporaries, from the first add
 
     def add(self, terms: np.ndarray) -> None:
         row = np.ascontiguousarray(terms, dtype=np.complex128).view(np.float64)
-        self._used = max(self._used, row.size)
-        total = self._total[:row.size]
-        s, b, err = self._scratch[:, :row.size]
+        if self._lanes is None:
+            self._lanes = np.zeros((5, row.size))
+        total, comp, s, b, err = self._lanes[:, :row.size]
         np.add(total, row, out=s)
         np.subtract(s, total, out=b)    # the part of row that reached s
         np.subtract(s, b, out=err)
         np.subtract(total, err, out=err)  # what total lost in s
         np.subtract(row, b, out=b)      # what row lost in s
         err += b
-        self._comp[:row.size] += err
+        comp += err
         total[...] = s
 
     def total(self) -> complex:
-        total, comp = self._total[:self._used], self._comp[:self._used]
+        total, comp = self._lanes[:2]
         re = math.fsum(total[0::2].tolist()) + math.fsum(comp[0::2].tolist())
         im = math.fsum(total[1::2].tolist()) + math.fsum(comp[1::2].tolist())
         return complex(re, im)
@@ -107,22 +104,22 @@ def _form(x: np.ndarray, y: np.ndarray, k: int = 0) -> complex:
     m = size.bit_length() - 1
     signs = sign_table(m + 1)
     fold = np.add if m % 2 else np.subtract
-    step = min(count, _LANES // 2)  # 64 KiB of terms
+    step = min(count, _LANES // 2)  # 64 KiB of terms; powers of two, so step divides count
+    wi = step if mirrored else 0  # inner terms per slab
     buf = np.empty((3, step), dtype=np.complex128)
     scaled = np.empty((4, 2 * step), dtype=np.complex128) if k else None
     acc = _CompensatedAccumulator()
     for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        w, wi = hi - lo, min(hi, mirrored) - lo
+        hi = lo + step
         head, tail = slice(2 * lo, 2 * hi), slice(size - 2 * hi, size - 2 * lo)
         regions = x[head], y[head], x[tail], y[tail]
         if k:
             for region, out in zip(regions, scaled):
-                np.ldexp(region.view(np.float64), -k, out=out[:2 * w].view(np.float64))
-            regions = scaled[:, :2 * w]
+                np.ldexp(region.view(np.float64), -k, out=out.view(np.float64))
+            regions = scaled
         xh, yh, xt, yt = regions
-        t = np.multiply(xh[0::2], yt[::-2], out=buf[0, :w])
-        t -= np.multiply(xh[1::2], yt[-2::-2], out=buf[2, :w])
+        t = np.multiply(xh[0::2], yt[::-2], out=buf[0])
+        t -= np.multiply(xh[1::2], yt[-2::-2], out=buf[2])
         inner = np.multiply(xt[-2::-2][:wi], yh[1::2][:wi], out=buf[1, :wi])
         inner -= np.multiply(xt[::-2][:wi], yh[0::2][:wi], out=buf[2, :wi])
         fold(t[:wi], inner, out=t[:wi])

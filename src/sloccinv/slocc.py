@@ -90,9 +90,9 @@ _SCRATCH_COMPLEX = 1 << 15  # 512 KiB slab keeps the in-place working set in L2;
                             # at least 2**_TAIL, so one row of any pass fits
 
 
-def _mix(src: np.ndarray, dst: np.ndarray, op: np.ndarray, pre: int, block: int,
+def _mix(src: np.ndarray, dst: np.ndarray, op: np.ndarray, block: int,
          scratch: np.ndarray) -> None:
-    """Axis mix of the (pre, dim, block) view of src into the same view of dst.
+    """Axis mix of the (-1, dim, block) view of src into the same view of dst.
 
     Each piece of src is copied into the contiguous slab and the matmul
     writes it to the same location of dst, so src may be dst and only
@@ -108,11 +108,11 @@ def _mix(src: np.ndarray, dst: np.ndarray, op: np.ndarray, pre: int, block: int,
             slab[...] = piece
             np.matmul(slab, op.T, out=out[a:a + step])
         return
-    view, out = src.reshape(pre, dim, block), dst.reshape(pre, dim, block)
+    view, out = src.reshape(-1, dim, block), dst.reshape(-1, dim, block)
     width = min(block, _SCRATCH_COMPLEX // dim)  # block-axis chunk
     step = _SCRATCH_COMPLEX // (dim * width)     # rows per chunk
     for c in range(0, block, width):
-        for a in range(0, pre, step):
+        for a in range(0, len(view), step):
             piece = view[a:a + step, :, c:c + width]
             slab = scratch[:piece.size].reshape(piece.shape)
             slab[...] = piece
@@ -131,7 +131,7 @@ def _fold(chain: LocalOperatorChain, src: np.ndarray, dst: np.ndarray) -> None:
     while k < n:
         width = n - k if n - k <= _TAIL else _GROUP
         _mix(src if k == 0 else dst, dst, reduce(np.kron, chain.ops[k:k + width]),
-             pre=1 << k, block=1 << (n - k - width), scratch=scratch)
+             block=1 << (n - k - width), scratch=scratch)
         k += width
 
 

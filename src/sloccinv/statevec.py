@@ -28,7 +28,6 @@ _RESCALE_TOL = 1e-15  # normalize() returns its input unchanged this close to 1
 
 _CLUSTER_SUPPORT = (3, 5, 6, 9, 10, 12)
 _DRAW_SLAB = 1 << 16  # floats per drawn row and per partial norm (512 KiB)
-_DRAW_STEP = 1 << 12  # floats per rng.random call of a streamed draw (32 KiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,25 +167,22 @@ def _drawn_rows(rng: np.random.Generator, n: int, out: np.ndarray, scratch: np.n
     rounding (2r is exact).  A later first row advances both streams past
     the parts of the rows before it, so every row has the bits of the whole
     draw's.  Each row is written into out, a contiguous float array of every
-    row or of one row that is reused, and its parts are drawn scratch.size
-    floats at a time (a power of two) into scratch.
+    row or of one row that is reused; each of its two parts is one rng call
+    into scratch, which holds at least half a row.
     """
     width = min(_DRAW_SLAB, 1 << n)
     rows, half = out.reshape(-1, width), width // 2
-    step = min(scratch.size, half)
     bits = rng.bit_generator
     start = bits.state
     im_bits = copy.deepcopy(bits)
     im_bits.advance((1 << n) + first * half)
-    if first:
-        bits.advance(first * half)
+    bits.advance(first * half)
     im_rng = np.random.Generator(im_bits)
     for r in range(first, (2 << n) // width if stop is None else stop):
         row = rows[r % len(rows)]
         for part, draw in ((row[0::2], rng.random), (row[1::2], im_rng.random)):
-            for lo in range(0, half, step):
-                draw(out=scratch[:step])
-                np.multiply(scratch[:step], 2.0, out=part[lo:lo + step])
+            draw(out=scratch[:half])
+            np.multiply(scratch[:half], 2.0, out=part)
         row -= 1.0
         yield row
     end = im_bits.state  # 2**(n+1) doubles on; advance() dropped a buffered 32-bit half
@@ -482,12 +478,12 @@ def _write_rows(fh, rows, sep: bytes) -> None:
             sep = b", "
 
 
-def _write_pairs(path, n: int, first, second, split: bool) -> None:
+def _write_pairs(path, n: int, first, second) -> None:
     """Write save_state's layout for n with the [re, im] pairs of the rows
     of first() and then of second(); the text does not depend on where
     the rows split.  first() yields at least one pair.
 
-    When split, a forked child writes second()'s pairs into an unlinked
+    When _splits(n), a forked child writes second()'s pairs into an unlinked
     temporary file beside path while this process writes first()'s into
     path, then appends that file's bytes.  If the child did not finish,
     this process empties the file and writes them there again, so
@@ -496,7 +492,7 @@ def _write_pairs(path, n: int, first, second, split: bool) -> None:
     with open(path, "wb") as fh, contextlib.ExitStack() as stack:
         fh.write(_HEAD % n)
         spare = None
-        if split:
+        if _splits(n):
             import tempfile
             with contextlib.suppress(OSError):  # the split needs it; the serial write does not
                 spare = stack.enter_context(
@@ -532,7 +528,7 @@ def save_state(s: StateVector, path) -> None:
         raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
     floats = s.amplitudes.view(np.float64)
     half = floats.size // 2
-    _write_pairs(path, s.n, lambda: [floats[:half]], lambda: [floats[half:]], _splits(s.n))
+    _write_pairs(path, s.n, lambda: [floats[:half]], lambda: [floats[half:]])
 
 
 def _save_random_state(n: int, seed: int, path) -> float:
@@ -545,7 +541,7 @@ def _save_random_state(n: int, seed: int, path) -> float:
     row; both norms are taken here.
     """
     row = np.empty(min(_DRAW_SLAB, 1 << n))
-    scratch = np.empty(min(_DRAW_STEP, row.size))
+    scratch = np.empty(row.size // 2)
     count = (2 << n) // row.size  # rows of the draw, at least two
     default_rng = np.random.default_rng  # numpy.random is imported here, not in a child
 
@@ -556,5 +552,5 @@ def _save_random_state(n: int, seed: int, path) -> float:
 
     scale = 1.0 / math.sqrt(_sum_of_squares(scaled(0, count), row))
     _write_pairs(path, n, lambda: scaled(0, count // 2, scale),
-                 lambda: scaled(count // 2, count, scale), _splits(n))
+                 lambda: scaled(count // 2, count, scale))
     return math.sqrt(_sum_of_squares(scaled(0, count, scale), row))

@@ -787,7 +787,7 @@ def test_compare_holds_one_state_at_a_time(n18_pair):
 def test_make_random_streams_the_file_and_norm_of_the_vector(tmp_path, capsys):
     # the streamed draw writes save_state(random_state(n, seed)) and prints its
     # norm (17 digits: bit for bit); above n = 16 the draw has more than two
-    # 512 KiB rows, and from n = 14 each part of a row takes several rng calls
+    # 512 KiB rows, and from n = 14 the second half is drawn in a forked child
     ref = tmp_path / "ref.json"
     for n in range(1, 21):
         for seed in (0, 7, 2**31 - 1):

@@ -77,7 +77,7 @@ def test_d_criteria_block_count():
 
 def test_d_criteria_too_few_qubits():
     with pytest.raises(TooFewQubits):
-        _d_values(ghz(3).amplitudes, 3)
+        _d_values(ghz(3).amplitudes)
     d = criteria_signature(ghz(3)).d
     assert d.re.shape == d.vanishing.shape == (0, 3)
 

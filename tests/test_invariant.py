@@ -90,6 +90,20 @@ def test_lane_path_keeps_every_rounding_error():
     assert lane_sum(x) == 2 * k * (1 + 1j)
 
 
+def test_a_one_term_form_allocates_no_full_lane_row():
+    # the lanes are as wide as the form's slab; a fixed row of _LANES lanes
+    # and their TwoSum temporaries peaked at 330 KB for one term
+    x, y = ghz(2).amplitudes.reshape(2, -1)
+    invariant._form(x, y)  # the sign table is cached
+    tracemalloc.start()
+    try:
+        invariant._form(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10, peak
+
+
 # --- iv_star ----------------------------------------------------------------
 
 def test_iv_star_ghz4():

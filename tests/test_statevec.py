@@ -753,7 +753,7 @@ def test_split_and_serial_io_agree(tmp_path, monkeypatch, forks):
 @pytest.mark.parametrize("n", [1, 4, 14, 17, 18])
 def test_a_later_first_row_draws_that_slice_of_the_draw(n):
     width = min(statevec._DRAW_SLAB, 1 << n)
-    scratch = np.empty(min(statevec._DRAW_STEP, width))
+    scratch = np.empty(width // 2)
     whole = np.empty(2 << n)
     for _ in statevec._drawn_rows(np.random.default_rng(9), n, whole, scratch):
         pass
