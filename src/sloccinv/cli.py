@@ -5,6 +5,14 @@ verify returns 1 when the measured error exceeds the gate; a usage error
 or any handled error returns 1 with one `error:` line.  All outputs are
 deterministic for fixed inputs and seeds, whatever the BLAS thread count:
 norms are fixed-order sums, not BLAS reductions.
+
+A CLI process lets its idle OpenBLAS workers sleep.  OpenBLAS reads
+OPENBLAS_THREAD_TIMEOUT once, when numpy loads it, and by default an idle
+worker spins for 2**28 cycles (0.13 s of CPU at 2 GHz) before it sleeps:
+after numpy loads, and after every BLAS call.  So when numpy is not yet loaded,
+this module sets it to _BLAS_THREAD_TIMEOUT, unless the caller has set it.
+That is no thread cap: the fold in apply and verify keeps its threads and
+its GEMM partition, so no output bit depends on it.
 """
 
 from __future__ import annotations
@@ -12,12 +20,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
-import numpy as np
+_BLAS_THREAD_TIMEOUT = 20  # an idle OpenBLAS worker sleeps after 2**20 cycles (0.5 ms at
+                           # 2 GHz), not within the fold's gaps between GEMM calls
+if "numpy" not in sys.modules:  # later, OpenBLAS has read its environment
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(_BLAS_THREAD_TIMEOUT))
 
-from . import statevec  # each command imports the other modules it runs
-from .errors import BadArgs, SloccInvError
+import numpy as np  # noqa: E402
+
+from . import statevec  # noqa: E402  (each command imports the other modules it runs)
+from .errors import BadArgs, SloccInvError  # noqa: E402
 
 DEFAULT_MAX_N = 26      # 2**26 complex amplitudes = 1 GiB; apply, compare, invariant and a
                         # verify trial hold one such vector at a time, make random none;
@@ -266,10 +280,12 @@ def cmd_apply(args) -> int:
     """apply_chain of the ops file to the input file, bit for bit, folded in
     place: the loaded vector is this command's own, so it is the output.
 
-    The load, the fold and the save run in turn, so the child that a large
-    load or save forks never runs beside the fold's OpenBLAS threads: the
-    GEMM passes slow sharply when another CPU-bound process shares the CPUs
-    they use."""
+    The load, the fold and the save run in turn, and OpenBLAS stops its
+    worker threads before a fork (its pthread_atfork handler) and starts
+    them again at the next BLAS call.  So the child that a large load or
+    save forks never runs beside the fold's OpenBLAS threads, busy or
+    idle: the GEMM passes slow sharply when another CPU-bound process
+    shares the CPUs they use."""
     from . import slocc
     s = _load(args.input, args.max_n)
     chain = slocc.ops_from_json_dict(statevec._read_json(args.ops))

@@ -967,3 +967,21 @@ def test_the_tol_default_is_the_invariant_default():
                     ["compare", "a.json", "b.json"]):
         tol = build_parser().parse_args(command).tol
         assert type(tol) is float and tol == DEFAULT_TOL, command
+
+
+def test_a_cli_process_sets_the_openblas_thread_timeout_only_before_numpy_loads():
+    # OpenBLAS reads its environment once, when numpy loads it: the CLI sets
+    # the timeout only where it takes effect, and a caller's value wins
+    src = str(Path(statevec.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read = "import os, sloccinv.cli; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    after_numpy = ("import os, numpy; before = dict(os.environ); import sloccinv.cli; "
+                   "print(dict(os.environ) == before)")
+    for code, caller, want in ((read, None, str(cli._BLAS_THREAD_TIMEOUT)),
+                               (read, "28", "28"),
+                               (after_numpy, None, "True")):
+        child_env = env if caller is None else {**env, "OPENBLAS_THREAD_TIMEOUT": caller}
+        done = subprocess.run([sys.executable, "-c", code], env=child_env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == want, (code, caller)
