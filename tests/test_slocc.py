@@ -256,6 +256,22 @@ def test_verify_theorem2_spec_points():
     assert verify_theorem2(7, 50, 1) <= 1e-8
 
 
+# the harness's worst error, bit for bit: each trial's draw, chain, fold and law
+VERIFY_REPRS = [
+    (verify_theorem1, 2, "5.586429430465991e-16"),
+    (verify_theorem1, 4, "1.5812191199541338e-14"),
+    (verify_theorem1, 10, "1.8160166793743153e-12"),
+    (verify_theorem2, 3, "2.4974222156252932e-15"),
+    (verify_theorem2, 5, "1.2891182675621247e-14"),
+    (verify_theorem2, 9, "5.68673256345855e-12"),
+]
+
+
+@pytest.mark.parametrize("verify, n, want", VERIFY_REPRS)
+def test_verify_errors_are_pinned(verify, n, want):
+    assert repr(verify(n, 5, 3)) == want
+
+
 @pytest.mark.parametrize("verify, n", [(verify_theorem1, 18), (verify_theorem2, 17)])
 def test_verify_trial_holds_one_vector(verify, n):
     # one trial at a time, each folding its own draw in place: the peak
