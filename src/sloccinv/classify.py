@@ -8,12 +8,12 @@ heuristic flags, never as a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import criteria_signature
+from .criteria import CriteriaSignature, criteria_signature
 from .errors import BadWitness, SizeMismatch, SloccInvError
 from .invariant import DEFAULT_TOL, CriterionValues, InvariantReport, invariant_report
 from .slocc import INVERTIBLE_TOL, LocalOperatorChain, apply_chain, sigma_x_chain
@@ -43,13 +43,13 @@ class Verdict:
 
 class _StateEvidence(NamedTuple):
     """What a verdict needs of one state: its n, its invariant report and the
-    (D, F, F tuples) of its flags (None below n = 3), the D and F values kept
-    as vanishing masks and magnitudes.  A part whose evaluation raised holds
-    the error instead, for _verdict to raise where the value is needed."""
+    criteria signature of its flags (None below n = 3), whose D and F values
+    are kept only as vanishing masks and magnitudes.  A part whose evaluation
+    raised holds the error instead, for _verdict to raise where it is needed."""
 
     n: int
     report: InvariantReport | Exception
-    criteria: tuple | None | Exception
+    criteria: CriteriaSignature | None | Exception
 
 
 def _held(evaluate, *args):
@@ -71,7 +71,7 @@ def _criteria(s: StateVector, tol: float):
     if s.n < 3:
         return None
     sig = criteria_signature(s, tol, include_f=s.n <= _F_FLAG_MAX_N)
-    return (sig.d._replace(re=None, im=None), sig.f._replace(re=None, im=None), sig.f_tuples)
+    return replace(sig, d=sig.d._replace(re=None, im=None), f=sig.f._replace(re=None, im=None))
 
 
 def _evidence(s: StateVector, tol: float) -> _StateEvidence:
@@ -94,11 +94,10 @@ def _differing(v1: CriterionValues, v2: CriterionValues):
 def _heuristic_flags(c1, c2) -> tuple[str, ...]:
     if c1 is None:
         return ()
-    (d1, f1, tuples), (d2, f2, _) = c1, c2
     flags = [f"D{slot + 1}[{i}] vanishing differs: {m1:.3e} vs {m2:.3e}"
-             for i, slot, m1, m2 in _differing(d1, d2)]
-    flags += [f"F{tuple(tuples[row].tolist())} vanishing differs: "
-              f"{m1:.3e} vs {m2:.3e}" for row, m1, m2 in _differing(f1, f2)]
+             for i, slot, m1, m2 in _differing(c1.d, c2.d)]
+    flags += [f"F{tuple(c1.f_tuples[row].tolist())} vanishing differs: "
+              f"{m1:.3e} vs {m2:.3e}" for row, m1, m2 in _differing(c1.f, c2.f)]
     return tuple(flags)
 
 

@@ -82,13 +82,8 @@ def _check_f_fits(n: int, max_n: int) -> None:
 
 
 def _load(path: str, max_n: int) -> statevec.StateVector:
-    """load_state(path) under the cap; a file in save_state's layout is held to it
-    by its head's n, before any amplitude is decoded."""
-    def check(n: int) -> None:
-        _check_n(n, max_n)
-    s = statevec.load_state(path, check)
-    check(s.n)
-    return s
+    """load_state(path) under the cap, which load_state checks as soon as it knows n."""
+    return statevec.load_state(path, lambda n: _check_n(n, max_n))
 
 
 def _make_product(args):

@@ -24,9 +24,10 @@ sorts it stably on (i+j, i) and caches it read-only.
 Both families are evaluated in row blocks, each written into two
 preallocated arrays: D in blocks of _D_BLOCK rows of the (blocks, 8)
 views of the front half and the mirrored back half, F in blocks of
-_F_BLOCK rows with one gather per subscript column.  A block's
-amplitudes are scaled by 2**-k, exactly, as they are read, so no scaled
-copy of the state is made.
+_F_BLOCK rows with one gather per distinct subscript column.  D scales
+a block's amplitudes by 2**-k, exactly, as they are read; F scales the
+state's parts once per block, a copy of 2 * 2**n floats (at most
+2 * 2**8 wherever its tuples fit in memory).
 Every complex operation is spelled out on float64 real and imaginary
 arrays exactly as numpy's scalar complex arithmetic rounds it: products
 without fused multiply-add, `z ** 2` as z * z except that an exact zero
@@ -175,18 +176,19 @@ def f_evaluate(s: StateVector, t) -> complex:
 def _f_values(amplitudes: np.ndarray, tuples: np.ndarray,
               exponent: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) of f_evaluate at every row of `tuples` on 2**-exponent * amplitudes,
-    bit for bit; each gather is scaled, exactly, as it is made."""
-    re, im = amplitudes.real, amplitudes.imag
+    bit for bit; the parts are scaled once, exactly, and each of the 12 distinct
+    columns, the 8 subscripts and the 4 shifted ones, is gathered once."""
+    re, im = np.ldexp(amplitudes.real, -exponent), np.ldexp(amplitudes.imag, -exponent)
 
     def amp(idx):
-        return np.ldexp(re[idx], -exponent), np.ldexp(im[idx], -exponent)
+        return re[idx], im[idx]
 
     i, j, k, l, p, q, r, s = tuples.T
     d = 2 - (i + j) % 2
-    head = _sub(_sub(_add(_mul(amp(i), amp(j)), _mul(amp(k), amp(l))),
-                     _mul(amp(p), amp(q))), _mul(amp(r), amp(s)))
-    left = _sub(_mul(amp(i), amp(j - d)), _mul(amp(p), amp(q - d)))
-    right = _sub(_mul(amp(k), amp(l + d)), _mul(amp(r), amp(s + d)))
+    ai, ak, ap, ar = amp(i), amp(k), amp(p), amp(r)  # the columns used twice
+    head = _sub(_sub(_add(_mul(ai, amp(j)), _mul(ak, amp(l))), _mul(ap, amp(q))), _mul(ar, amp(s)))
+    left = _sub(_mul(ai, amp(j - d)), _mul(ap, amp(q - d)))
+    right = _sub(_mul(ak, amp(l + d)), _mul(ar, amp(s + d)))
     return _sub(_square(head), _mul(_mul((4.0, 0.0), left), right))
 
 

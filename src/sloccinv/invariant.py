@@ -161,9 +161,10 @@ def iv_star_shifted(s: StateVector) -> complex:
     return _form(*s.amplitudes.reshape(2, 2, -1)[1])
 
 
-def _odd_parts(bar: complex, a: np.ndarray, k: int = 0) -> tuple[complex, ...]:
-    """bar = IVbar of 2**-k * a, then IV*(lower), IV*(upper) and
-    bar**2 - 4 * IV*(lower) * IV*(upper) of 2**-k * a."""
+def _odd_parts(a: np.ndarray, k: int = 0) -> tuple[complex, ...]:
+    """IVbar, IV*(lower), IV*(upper) and IVbar**2 - 4 * IV*(lower) * IV*(upper)
+    of 2**-k * a, each form from views of the qubit-1 halves and quarters."""
+    bar = _form(*a.reshape(2, -1), k)
     low, high = (_form(*half, k) for half in a.reshape(2, 2, -1))
     return bar, low, high, bar * bar - 4.0 * low * high
 
@@ -171,7 +172,7 @@ def _odd_parts(bar: complex, a: np.ndarray, k: int = 0) -> tuple[complex, ...]:
 def odd_invariant(s: StateVector) -> complex:
     """IVbar**2 - 4 * IV*(lower) * IV*(upper) for odd n >= 3."""
     _check_odd(s, "odd_invariant")
-    return _odd_parts(iv_bar(s), s.amplitudes)[3]
+    return _odd_parts(s.amplitudes)[3]
 
 
 def tau(s: StateVector) -> float:
@@ -281,7 +282,7 @@ def invariant_report(s: StateVector, tol: float = DEFAULT_TOL) -> InvariantRepor
         top = decide(2, [star, 2.0 * abs(star)])  # IV* and tau
         fields = {"iv_star": (top, 0)}
     else:
-        bar, low, high, combo = _odd_parts(_form(*a.reshape(2, -1), k), a, k)
+        bar, low, high, combo = _odd_parts(a, k)
         top = decide(4, [combo, 4.0 * abs(combo)])  # the odd invariant and tau
         halves = decide(2, [low, bar, high])
         fields = {"iv_star": (halves, 0), "iv_bar": (halves, 1),

@@ -183,13 +183,12 @@ def _transform_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / abs(lhs)
 
 
-def _trial(n: int, seed: int, value, det_power: int) -> float:
-    """One seeded trial of a transform law on a private draw, folded in place.
-
-    The draw and then the chain come from one substream, and the state
-    is wrapped as read-only views of the one vector, so the trial holds
-    a single amplitude vector.
-    """
+def _trial(n: int, seed: int) -> float:
+    """One seeded trial of n's law, iv_star with prod(det) (even n) or odd_invariant
+    with prod(det)**2 (odd n), both looked up at call time.  The draw and then the
+    chain come from one substream; the draw is folded in place and read through
+    read-only views, so the trial holds a single amplitude vector."""
+    value, det_power = (odd_invariant, 2) if n % 2 else (iv_star, 1)
     rng = np.random.default_rng(seed)
     x = _random_amplitudes(rng, n)
     chain = _random_ops(rng, n, unit_det=False)
@@ -199,10 +198,11 @@ def _trial(n: int, seed: int, value, det_power: int) -> float:
     return _transform_error(after, before * det_product(chain) ** det_power)
 
 
-def _verify(n: int, trials: int, seed: int, value, det_power: int) -> float:
+def _verify(n: int, trials: int, seed: int) -> float:
+    """The largest error of n's law over the trials of seeds seed, seed + 1, ..."""
     worst = 0.0
     for trial in range(trials):  # nothing of one trial is alive during the next
-        worst = max(worst, _trial(n, seed + trial, value, det_power))
+        worst = max(worst, _trial(n, seed + trial))
     return worst
 
 
@@ -210,14 +210,14 @@ def verify_theorem1(n: int, trials: int, seed: int) -> float:
     """Max relative error of IV*(chain(b)) = IV*(b) * prod(det) over seeded trials."""
     if n < 2 or n % 2:
         raise ParityError(f"theorem 1 needs even n >= 2, got {n}")
-    return _verify(n, trials, seed, iv_star, det_power=1)
+    return _verify(n, trials, seed)
 
 
 def verify_theorem2(n: int, trials: int, seed: int) -> float:
     """Max relative error of the odd-invariant law with prod(det)**2."""
     if n < 3 or n % 2 == 0:
         raise ParityError(f"theorem 2 needs odd n >= 3, got {n}")
-    return _verify(n, trials, seed, odd_invariant, det_power=2)
+    return _verify(n, trials, seed)
 
 
 def ops_json_dict(chain: LocalOperatorChain) -> dict:

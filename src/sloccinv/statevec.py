@@ -96,7 +96,7 @@ def _exponent(amps: np.ndarray) -> int:
     Scaling by 2**-k is exact: a degree-d value of 2**-k * amps is exactly
     2**(-k*d) times that of amps unless it underflows, and the scaled norm
     neither overflows nor underflows, even where |a| is not a finite float.
-    The reports read amps through slabs scaled by 2**-k; none holds a scaled copy.
+    The reports read amps through scaled slabs; only F, whose tuples dwarf it, holds a scaled copy.
     """
     parts = amps.view(np.float64)
     return math.frexp(max(parts.max(), -parts.min()))[1]
@@ -379,7 +379,7 @@ def _entry_offset(fh, count: int) -> int | None:
     return None
 
 
-def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
+def _streamed_state(fh, size: int, check_n) -> StateVector | None:
     """The state of a file in save_state's layout, opened as fh in binary
     mode; None for any other text.
 
@@ -387,7 +387,7 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
     is allocated only if the file can hold 2**n of the shortest entry,
     "[0,0],", and has 2**(n-1) "],".  The entries up to the 2**(n-1)-th
     "]," and the rest are decoded by _decode_entries into the two halves
-    of the vector, the rest in a forked child, from its own open of path,
+    of the vector, the rest in a forked child, from its own open of fh.name,
     when _splits(n); the vector then lies in a shared mmap.  A rest that
     the child did not finish is decoded again here (see _in_halves), from
     a new open too.  Without a split, fh reads on from the cut, so the
@@ -416,7 +416,7 @@ def _streamed_state(fh, size: int, check_n, path) -> StateVector | None:
         amps = np.empty(1 << n, dtype=np.complex128)
 
     def second() -> bool:  # a forked child must not move fh's offset, which it shares
-        with open(path, "rb") if split else contextlib.nullcontext(fh) as rest:
+        with open(fh.name, "rb") if split else contextlib.nullcontext(fh) as rest:
             rest.seek(cut)
             return _decode_entries(rest, amps[half:])
 
@@ -446,19 +446,22 @@ def load_state(path, check_n=None) -> StateVector:
     few slabs, whatever the file's size.  From n = _SPLIT_N on, a forked
     child decodes the second range meanwhile and is reaped before this
     returns (see _splits); a range that the child did not finish is
-    decoded again here, in slabs.  check_n, if given, is called with the
-    n of save_state's head before any amplitude is decoded; what it
-    raises propagates.  Any other file, or one whose text fails to decode,
-    is read again whole and parsed by json.loads.  Values and errors,
-    messages included, are those of from_json_dict(json.load(file)).
+    decoded again here, in slabs.  check_n, if given, gets the n of
+    save_state's head before any amplitude is decoded, or of a file parsed
+    whole; what it raises propagates.  Any other file, or one whose text
+    fails to decode, is read again whole and parsed by json.loads.  Values
+    and errors, messages included, are those of from_json_dict(json.load(file)).
     """
     info = os.stat(path)
     if stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
         with open(path, "rb") as fh:
-            s = _streamed_state(fh, info.st_size, check_n, path)
+            s = _streamed_state(fh, info.st_size, check_n)
         if s is not None:
             return s
-    return from_json_dict(_read_json(path))
+    s = from_json_dict(_read_json(path))
+    if check_n is not None:
+        check_n(s.n)
+    return s
 
 
 _SAVE_SLAB = 1 << 10  # amplitudes per formatting call of save_state

@@ -30,6 +30,23 @@ the float range.  Over n = 2..14, random, GHZ, W, cluster and tensor states at
 scales 1, 1e150 and 1e-150, the worst error is 0.19 of its bound, that
 is 1.14 u R for a form (numpy 2.4, x86-64).  Every value of a W state
 that is exactly 0 comes out as 0.
+
+The D criteria are gated the same way against `exact_forms.d_values`.
+D = P(f) Q(b) - Q(f) P(b) is a sum of eight products of four amplitudes;
+R_D is the sum of their moduli.  A minor P = b_w b_x - b_y b_z is within
+(sqrt(5) + 1) u of its share r_P = |b_w b_x| + |b_y b_z| of R_D (two complex
+products and a subtraction), so one product of minors, rounded once more, is
+within (3 sqrt(5) + 2) u of r_P r_Q, and the last subtraction adds u:
+
+    D_KAPPA * u * R_D + D_ETA * ETA,   D_KAPPA = 10 > 3 sqrt(5) + 3,
+
+on the scaled state 2**-k s, whose parts are below 1, so every minor is
+below 4 and the products that leave the normal range lose at most
+D_ETA = 64 units of ETA.  The reported raw value is 2**(4k) times the
+scaled one.  Over n = 4..12 and the same states and scales as above, the
+worst error is 0.23 of its bound, 2.34 u R_D (random_state(1, 12) x
+random_state(11, 12); numpy 2.4, x86-64), and every D of a W state comes
+out as 0.
 """
 
 import math
@@ -38,16 +55,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_forms import form, magnitude_sum, odd_parts
-from sloccinv import (cluster_c, ghz, invariant, invariant_report, iv_bar, iv_star,
-                      iv_star_lower, iv_star_shifted, new_state, odd_invariant, random_state,
-                      tensor, w_state)
+from exact_forms import d_magnitude_sums, d_values, form, magnitude_sum, odd_parts
+from sloccinv import (cluster_c, criteria_signature, ghz, invariant, invariant_report, iv_bar,
+                      iv_star, iv_star_lower, iv_star_shifted, new_state, odd_invariant,
+                      random_state, tensor, w_state)
 from sloccinv.errors import NormOverflow
 from sloccinv.statevec import _exponent
 
 U = 2.0 ** -53
 ETA = 2.0 ** -1074
 KAPPA = 6
+D_KAPPA = 10
+D_ETA = 64
 SCALES = (1.0, 1e150, 1e-150)
 
 
@@ -123,7 +142,7 @@ def checks(s):
     if math.isfinite(e_odd):
         yield "odd_invariant", odd_invariant(s), exact[3], e_odd
 
-    parts = invariant._odd_parts(invariant._form(*a.reshape(2, -1), k), a, k)
+    parts = invariant._odd_parts(a, k)
     exact_k = [d.scaled(-2 * k) for d in exact[:3]] + [exact[3].scaled(-4 * k)]
     bounds_k = [form_bound(*pair) for pair in
                 [scaled.reshape(2, -1), *scaled.reshape(2, 2, -1)]]
@@ -189,3 +208,34 @@ def test_the_exact_form_is_the_signed_sum_of_its_terms():
             re += sign * (xr * yr - xi * yi)
             im += sign * (xr * yi + xi * yr)
         assert form(x, y).parts() == (re, im)
+
+
+def d_worst_ratio(n):
+    """The largest error/bound over the D values of every state of n; asserts each <= 1."""
+    worst = 0.0
+    for name, s in states(n):
+        a = s.amplitudes
+        k = _exponent(a)
+        exact = d_values(a)
+        bounds = [[unscaled(D_KAPPA * U * r + D_ETA * ETA, k, 4) for r in row]
+                  for row in d_magnitude_sums(ldexp(a, -k)).tolist()]
+        try:
+            d = criteria_signature(s, include_f=False).d
+        except NormOverflow:  # only where some value plus its bound passes the float range
+            assert max(abs(e) + b for row in zip(exact, bounds) for e, b in zip(*row)) \
+                > np.finfo(float).max, name
+            continue
+        for i, (row, row_bounds) in enumerate(zip(exact, bounds)):
+            for slot, (want, bound) in enumerate(zip(row, row_bounds)):
+                value = complex(d.re[i, slot], d.im[i, slot])
+                error = want.error(value)
+                assert error <= bound, (name, i, slot, value, error / bound)
+                if name.startswith("w_state"):
+                    assert (want.re, want.im, value) == (0, 0, 0), (name, i, slot, value)
+                worst = max(worst, error / bound)
+    return worst
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_every_d_value_is_within_its_bound_of_the_exact_value(n):
+    assert d_worst_ratio(n) <= 1.0

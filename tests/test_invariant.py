@@ -492,3 +492,18 @@ def test_report_w4_vanishes():
     assert r.iv_star == 0
     assert r.tau == 0
     assert r.vanishing["tau"] is True
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_report_gives_the_raw_values_bit_for_bit(n):
+    # the report evaluates 2**-k s and unscales by an exact power of two, so a
+    # reported tau is tau of the state, as the CLI's readers may rely on
+    for s in [random_state(n, seed) for seed in range(4)] + [ghz(n), w_state(n)]:
+        r = invariant_report(s)
+        if n % 2 == 0:
+            got, raw = [r.tau, r.iv_star], [tau(s), iv_star(s)]
+        else:
+            got = [r.tau, r.iv_bar, r.iv_star, r.iv_star_shifted, r.odd_invariant]
+            raw = [tau(s), iv_bar(s), iv_star_lower(s), iv_star_shifted(s), odd_invariant(s)]
+        assert (np.complex128(got).view(np.uint64).tolist()
+                == np.complex128(raw).view(np.uint64).tolist()), (s.n, got, raw)

@@ -622,6 +622,16 @@ def test_load_state_reads_a_pipe_once():
     np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
 
 
+def test_load_state_calls_check_n_on_every_file(tmp_path):
+    # a file in save_state's layout by its head's n, any other once parsed whole
+    seen = []
+    save_state(ghz(3), tmp_path / "saved.json")
+    (tmp_path / "pretty.json").write_text(json.dumps(to_json_dict(w_state(4)), indent=1))
+    for name in ("saved.json", "pretty.json"):
+        load_state(tmp_path / name, seen.append)
+    assert seen == [3, 4]
+
+
 def test_a_load_opens_its_file_once_here(tmp_path, monkeypatch, forks):
     # below _SPLIT_N the second range is read on from the first's handle; from
     # _SPLIT_N on the child opens the file itself, which this process cannot count
