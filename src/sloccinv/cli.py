@@ -13,6 +13,10 @@ after numpy loads, and after every BLAS call.  So when numpy is not yet loaded,
 this module sets it to _BLAS_THREAD_TIMEOUT, unless the caller has set it.
 That is no thread cap: the fold in apply and verify keeps its threads and
 its GEMM partition, so no output bit depends on it.
+
+The commands that write or load state files of n >= statevec._SPLIT_N
+qubits keep a binary sidecar of each in .sloccinv/ beside it, so that each
+file's JSON is parsed at most once (see sloccinv.sidecars).
 """
 
 from __future__ import annotations
@@ -82,8 +86,29 @@ def _check_f_fits(n: int, max_n: int) -> None:
 
 
 def _load(path: str, max_n: int) -> statevec.StateVector:
-    """load_state(path) under the cap, which load_state checks as soon as it knows n."""
-    return statevec.load_state(path, lambda n: _check_n(n, max_n))
+    """load_state(path) under the cap, checked as soon as n is known; from n =
+    _SPLIT_N on through the file's sidecar."""
+    def check(n: int) -> None:
+        _check_n(n, max_n)
+
+    n = statevec._saved_n(path)
+    side = _sidecars(n)
+    return side.load(path, n, check) if side else statevec.load_state(path, check)
+
+
+def _sidecars(n: int):
+    """sloccinv.sidecars for a state file of n qubits, or None below _SPLIT_N:
+    smaller files have no sidecar, and their commands do not import it."""
+    if n < statevec._SPLIT_N:
+        return None
+    from . import sidecars
+    return sidecars
+
+
+def _save(s: statevec.StateVector, path: str) -> None:
+    """save_state(s, path), and from n = _SPLIT_N on its sidecar."""
+    side = _sidecars(s.n)
+    (side.save if side else statevec.save_state)(s, path)
 
 
 def _make_product(args):
@@ -103,11 +128,13 @@ def cmd_make(args) -> int:
         _check_vector_n(args.n, args.max_n)
     if args.kind == "random":  # streamed to the file: the vector is never built
         path = args.output or f"random_n{args.n}_s{args.seed}.json"
-        n, norm = args.n, statevec._save_random_state(args.n, args.seed, path)
+        side = _sidecars(args.n)
+        save = side.save_random if side else statevec._save_random_state
+        n, norm = args.n, save(args.n, args.seed, path)
     else:
         s, default = args.build(args)
         path = args.output or default
-        statevec.save_state(s, path)
+        _save(s, path)
         n, norm = s.n, s.norm()
     print(f"n={n} norm={norm:.17g} -> {path}")
     return 0
@@ -289,7 +316,7 @@ def cmd_apply(args) -> int:
     x.setflags(write=True)
     slocc._fold(chain, x, x)
     result = statevec._wrap(s.n, x)
-    statevec.save_state(result, args.output)
+    _save(result, args.output)
     if args.print_dets:
         for idx, d in enumerate(chain.dets.tolist(), start=1):
             print(f"det[{idx}] = {d.real:.17g}{d.imag:+.17g}j")

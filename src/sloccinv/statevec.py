@@ -424,6 +424,19 @@ def _streamed_state(fh, size: int, check_n) -> StateVector | None:
     return _wrap(n, amps) if all(halves) and np.any(amps) else None
 
 
+def _saved_n(path) -> int:
+    """The n of the head of path, a regular file in save_state's layout; 0 for
+    a pipe (it cannot be read twice), any other file or an OSError."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return 0
+        with open(path, "rb") as fh:
+            head = _SAVED_HEAD.match(fh.read(len(_HEAD % 99)))
+    except OSError:
+        return 0
+    return int(head[1]) if head else 0
+
+
 def _read_json(path):
     """json.loads of a UTF-8 file's whole text, for ops files and for state files
     that load_state does not stream; malformed or too deeply nested JSON and
@@ -481,7 +494,18 @@ def _write_rows(fh, rows, sep: bytes) -> None:
             sep = b", "
 
 
-def _write_pairs(path, n: int, first, second) -> None:
+class _Hashed:
+    """A binary file whose writes also update a hash object."""
+
+    def __init__(self, fh, digest):
+        self.fh, self.digest = fh, digest
+
+    def write(self, data) -> None:
+        self.digest.update(data)
+        self.fh.write(data)
+
+
+def _write_pairs(path, n: int, first, second, digest=None) -> None:
     """Write save_state's layout for n with the [re, im] pairs of the rows
     of first() and then of second(); the text does not depend on where
     the rows split.  first() yields at least one pair.
@@ -491,9 +515,13 @@ def _write_pairs(path, n: int, first, second) -> None:
     path, then appends that file's bytes.  If the child did not finish,
     this process empties the file and writes them there again, so
     second() may run twice.  Without the file they go straight to path.
+    digest, a hash object if given, is updated with path's bytes as this
+    process writes them, the child's as they are appended; path is never
+    read back.
     """
     with open(path, "wb") as fh, contextlib.ExitStack() as stack:
-        fh.write(_HEAD % n)
+        out = fh if digest is None else _Hashed(fh, digest)
+        out.write(_HEAD % n)
         spare = None
         if _splits(n):
             import tempfile
@@ -502,28 +530,28 @@ def _write_pairs(path, n: int, first, second) -> None:
                     tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
 
         def rest() -> bool:
-            out = spare or fh
             if spare:  # a child that did not finish may have written part of it
                 spare.truncate(spare.seek(0))
-            _write_rows(out, second(), b", ")
-            out.flush()
+            _write_rows(spare or out, second(), b", ")
+            (spare or fh).flush()
             return True
 
-        _in_halves(bool(spare), lambda: _write_rows(fh, first(), b""), rest)
+        _in_halves(bool(spare), lambda: _write_rows(out, first(), b""), rest)
         if spare:
             import shutil
             spare.seek(0)
-            shutil.copyfileobj(spare, fh)
-        fh.write(_TAIL + b"\n")
+            shutil.copyfileobj(spare, out)
+        out.write(_TAIL + b"\n")
 
 
-def save_state(s: StateVector, path) -> None:
+def save_state(s: StateVector, path, digest=None) -> None:
     """Write json.dumps(to_json_dict(s)) and a newline, encoded in slabs.
 
     Each slab spells its floats with float.__repr__, as json.dumps does,
     and holds one slab's floats and text in memory at a time.  From n =
     _SPLIT_N on, a forked child encodes the second half (see _write_pairs).
     A state that load_state would reject raises before the file is opened.
+    digest, a hash object if given, is updated with the bytes written.
     """
     if not np.all(np.isfinite(s.amplitudes)):
         raise NormOverflow(f"{path}: amplitudes out of the float range; not written")
@@ -531,29 +559,35 @@ def save_state(s: StateVector, path) -> None:
         raise AllZero(f"{path}: state vector has no nonzero amplitude; not written")
     floats = s.amplitudes.view(np.float64)
     half = floats.size // 2
-    _write_pairs(path, s.n, lambda: [floats[:half]], lambda: [floats[half:]])
+    _write_pairs(path, s.n, lambda: [floats[:half]], lambda: [floats[half:]], digest)
 
 
-def _save_random_state(n: int, seed: int, path) -> float:
+def _save_random_state(n: int, seed: int, path, sidecar=None) -> float:
     """save_state(random_state(n, seed), path), returning the saved state's
     norm, bit for bit, without a 2**n vector: the draw is made three times
     through one reused row, for its norm, then scaled and encoded row by
     row, then scaled again for the norm of what was written.  When
     _splits(n), a forked child encodes the second half of the rows (see
     _write_pairs), drawn from both PCG64 streams advanced to its first
-    row; both norms are taken here.
+    row; both norms are taken here.  sidecar, a sidecars.Entry if given,
+    gets each encoded row through its put(), the child's rows from the
+    child, and path's bytes in its hash object digest; a false one (it
+    could not be opened) gets nothing.
     """
     row = np.empty(min(_DRAW_SLAB, 1 << n))
     scratch = np.empty(row.size // 2)
     count = (2 << n) // row.size  # rows of the draw, at least two
     default_rng = np.random.default_rng  # numpy.random is imported here, not in a child
+    put, digest = (sidecar.put, sidecar.digest) if sidecar else (None, None)
 
-    def scaled(first, stop, scale=1.0):
-        for x in _drawn_rows(default_rng(seed), n, row, scratch, first, stop):
+    def scaled(first, stop, scale=1.0, put=None):
+        for r, x in enumerate(_drawn_rows(default_rng(seed), n, row, scratch, first, stop), first):
             x *= scale
+            if put:
+                put(r * row.size, x)
             yield x
 
     scale = 1.0 / math.sqrt(_sum_of_squares(scaled(0, count), row))
-    _write_pairs(path, n, lambda: scaled(0, count // 2, scale),
-                 lambda: scaled(count // 2, count, scale))
+    _write_pairs(path, n, lambda: scaled(0, count // 2, scale, put),
+                 lambda: scaled(count // 2, count, scale, put), digest)
     return math.sqrt(_sum_of_squares(scaled(0, count, scale), row))

@@ -20,7 +20,7 @@ import pytest
 
 from sloccinv import (achieved_pair_sums, cluster_c, complement, criteria, f_enumerate, ghz,
                       load_state, new_state, random_state, save_state, w_state)
-from sloccinv import cli, slocc, statevec
+from sloccinv import cli, sidecars, slocc, statevec
 from sloccinv.cli import build_parser, main
 
 
@@ -606,6 +606,22 @@ def test_max_n_is_checked_from_the_head_of_a_saved_file(tmp_path, capsys, monkey
     code, out, err = run(capsys, "invariant", "--input", "pretty.json", "--max-n", "10")
     assert_one_error_line(code, out, err)
     assert "n=12 exceeds the cap 10" in err and converted == [4096]
+    # from _SPLIT_N on, a CLI load hashes the file for its sidecar: only after the cap
+    n = statevec._SPLIT_N
+    Path("ops.json").write_text(json.dumps({"ops": ops["ops"][:1] * n}))
+    assert run(capsys, "make", "random", "--n", str(n), "-o", "big.json")[0] == 0
+    hashed, sha256 = [], sidecars._sha256
+    monkeypatch.setattr(sidecars, "_sha256", lambda: hashed.append(1) or sha256())
+    del converted[:]
+    for argv in (["invariant", "--input", "big.json"], ["criteria", "--input", "big.json"],
+                 ["compare", "big.json", "big.json"],
+                 ["apply", "--input", "big.json", "--ops", "ops.json", "--output", "o.json"],
+                 ["make", "complement", "big.json", "-o", "o.json"],
+                 ["make", "product", "big.json", "r12.json", "-o", "o.json"]):
+        code, out, err = run(capsys, *argv, "--max-n", str(n - 1))
+        assert_one_error_line(code, out, err)
+        assert f"n={n} exceeds the cap {n - 1} (raise it with --max-n)" in err, argv
+    assert hashed == [] and converted == [] and not Path("o.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -781,6 +797,50 @@ def test_compare_holds_one_state_at_a_time(n18_pair):
     # both states loaded first peaked at 10.5 MiB, two vectors and the reports
     a, b, _ = n18_pair
     peak = _traced_peak("compare", str(a), str(b))
+    assert peak < 1.5 * VECTOR_18, peak / VECTOR_18
+
+
+def _traced_hit_peak(*argv):
+    """_traced_peak of a run that reads and writes sidecars: the warm-up run
+    writes the sidecars of the state files, and the traced run reads them
+    and decodes no JSON amplitude.  As in _traced_peak, no I/O is split
+    across two processes, but the sidecars are at work from _SPLIT_N on."""
+    decoded, convert = [], statevec._complex_pairs
+    with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull), \
+            mock.patch.object(statevec, "_splits", lambda n: False):
+        main(list(argv))
+        with mock.patch.object(statevec, "_complex_pairs",
+                               lambda *args: decoded.append(args) or convert(*args)):
+            tracemalloc.start()
+            try:
+                code = main(list(argv))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert code in (0, 2) and decoded == [], argv
+    return peak
+
+
+def test_make_random_holds_no_vector_when_it_writes_a_sidecar(tmp_path):
+    # the rows go into the sidecar as they are drawn, at their byte offsets
+    path = tmp_path / "r18.json"
+    peak = _traced_hit_peak("make", "random", "--n", "18", "--seed", "1", "-o", str(path))
+    assert peak < VECTOR_18 / 4, peak / VECTOR_18
+    assert [p.name for p in (tmp_path / sidecars.DIRECTORY).iterdir()] == [
+        f"r18.json.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"]
+
+
+def test_apply_from_a_sidecar_folds_the_loaded_vector_in_place(tmp_path, n18_pair):
+    # the sidecar is read into the one vector and checked in slabs
+    a, _, ops = n18_pair
+    peak = _traced_hit_peak("apply", "--input", str(a), "--ops", str(ops),
+                            "--output", str(tmp_path / "c.json"))
+    assert peak - VECTOR_18 < VECTOR_18 / 4, peak / VECTOR_18
+
+
+def test_compare_from_sidecars_holds_one_state_at_a_time(n18_pair):
+    a, b, _ = n18_pair
+    peak = _traced_hit_peak("compare", str(a), str(b))
     assert peak < 1.5 * VECTOR_18, peak / VECTOR_18
 
 
