@@ -304,10 +304,10 @@ def cmd_apply(args) -> int:
 
     The load, the fold and the save run in turn, and OpenBLAS stops its
     worker threads before a fork (its pthread_atfork handler) and starts
-    them again at the next BLAS call.  So the child that a large load or
-    save forks never runs beside the fold's OpenBLAS threads, busy or
-    idle: the GEMM passes slow sharply when another CPU-bound process
-    shares the CPUs they use."""
+    them again at the next BLAS call.  So the child that a large save
+    forks never runs beside the fold's OpenBLAS threads, busy or idle:
+    the GEMM passes slow sharply when another CPU-bound process shares
+    the CPUs they use."""
     from . import slocc
     s = _load(args.input, args.max_n)
     chain = slocc.ops_from_json_dict(statevec._read_json(args.ops))

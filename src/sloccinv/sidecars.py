@@ -4,11 +4,14 @@ A CLI command that writes a state file in save_state's layout with n >=
 statevec._SPLIT_N (make of every kind, apply) also writes the file's
 vector as a .npy in the directory DIRECTORY beside it, named by the
 file's name and the SHA-256 of its bytes.  A CLI load of such a file
-hashes it and reads that .npy instead of decoding the JSON.  A sidecar
-maps the digest of a file's bytes to the vector those bytes parse to,
-bit for bit; nothing but the digest decides whether it is used.  No
-output byte and no exit code depends on the sidecars: any failure of
-theirs falls back to statevec's parse and writes, silently.
+hashes it and reads that .npy instead of decoding the JSON.  A load that
+finds none decodes the JSON in one pass that hashes the bytes it reads,
+and keeps the parse as the sidecar if they are the bytes first hashed: a
+miss reads the file twice, a hit once.  A sidecar maps the digest of a
+file's bytes to the vector those bytes parse to, bit for bit; nothing
+but the digest decides whether it is used.  No output byte and no exit
+code depends on the sidecars: any failure of theirs falls back to
+statevec's parse and writes, silently.
 
 The library's load_state and save_state neither read nor write them;
 only the CLI imports this module.
@@ -50,10 +53,9 @@ def _sha256():
 
 
 def _file_digest(fh) -> str:
-    """The SHA-256 hex digest of the bytes of fh, a binary file, read from its
-    start statevec._LOAD_SLAB bytes at a time."""
+    """The SHA-256 hex digest of the bytes of fh, a binary file opened at its
+    start, read statevec._LOAD_SLAB bytes at a time."""
     digest, slab = _sha256(), bytearray(statevec._LOAD_SLAB)
-    fh.seek(0)
     while size := fh.readinto(slab):
         digest.update(memoryview(slab)[:size])
     return digest.hexdigest()
@@ -183,9 +185,10 @@ def load(path, n: int, check_n=None) -> statevec.StateVector:
     The file is hashed after check_n(n), so the cap refuses it before any
     byte is hashed.  A valid sidecar for its digest (see _state) is the
     state.  Otherwise load_state parses the file as it does without
-    sidecars, and if the file's digest after the parse is the one before
-    it, the parsed state becomes the sidecar.  An OSError of the sidecar
-    work is not raised: the load goes on as load_state.
+    sidecars, hashing the bytes as it reads them, and if that digest is the
+    lookup's, the file held still and was decoded in one pass, and the
+    parsed state becomes the sidecar.  An OSError of the sidecar work is not
+    raised: the load goes on as load_state.
     """
     if check_n is not None:
         check_n(n)
@@ -196,11 +199,10 @@ def load(path, n: int, check_n=None) -> statevec.StateVector:
         s = _state(path, n, digest)
         if s is not None:
             return s
-    s = statevec.load_state(path, check_n)
-    if digest is not None and s.n == n:
-        with contextlib.suppress(OSError), open(path, "rb") as fh:
-            if _file_digest(fh) == digest:  # the file held still while it was parsed
-                _write(path, s, digest)
+    read = _sha256()
+    s = statevec.load_state(path, check_n, read)
+    if read.hexdigest() == digest:
+        _write(path, s, digest)
     return s
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import io
 import json
 import math
 import numbers
@@ -266,7 +267,7 @@ def from_json_dict(doc) -> StateVector:
 
 
 _LOAD_SLAB = 1 << 16  # bytes per read and per decode call of load_state
-_SPLIT_N = 14  # from this n on, a forked child does the second half of an I/O (see _splits)
+_SPLIT_N = 14  # from this n on, a forked child writes the second half of a save (see _splits)
 
 # save_state's layout: _HEAD % n, the [re, im] pairs joined by ", ", _TAIL and "\n"
 _HEAD, _TAIL = b'{"n": %d, "amplitudes": [', b"]}"
@@ -275,23 +276,22 @@ _PAIR = "[%r, %r], "  # json.dumps spells a finite float as float.__repr__ does
 
 
 def _splits(n: int) -> bool:
-    """Whether a load or save of 2**n amplitudes runs in two halves, the second
-    in a forked child: from n = _SPLIT_N on, where os.fork exists and no other
+    """Whether a save of 2**n amplitudes runs in two halves, the second in a
+    forked child: from n = _SPLIT_N on, where os.fork exists and no other
     Python thread runs (a fork copies only the calling thread)."""
     import threading
     return n >= _SPLIT_N and hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _in_halves(split: bool, first, second):
-    """(first(), whether second() returned true).  When split, second() runs
-    meanwhile in a forked child.  It runs here after first() when not
-    split, when os.fork raises, or when the child did not finish: it raised
-    or was killed.  So it may run twice and must then redo all it did.  A
-    child's false is final: it is not run again here.  A child runs no
-    BLAS, imports nothing, touches no stdio and ends in os._exit, with
-    status 0 when second() returned true, 2 when it returned false and 1
-    from a finally when it raised.  If first() raises, the child is killed;
-    it is always reaped before second() runs here or this returns or raises.
+def _in_halves(split: bool, first, second) -> None:
+    """first() and second(); when split, second() runs meanwhile in a forked
+    child.  It runs here after first() when not split, when os.fork raises,
+    or when the child did not finish: it raised or was killed.  So it may
+    run twice and must then redo all it did.  A child runs no BLAS, imports
+    nothing, touches no stdio and ends in os._exit, with status 0 when
+    second() returned and 1 from a finally when it raised.  If first()
+    raises, the child is killed; it is always reaped before second() runs
+    here or this returns or raises.
     """
     pid = None
     if split:
@@ -309,11 +309,12 @@ def _in_halves(split: bool, first, second):
                 pass
         if pid == 0:
             try:
-                os._exit(0 if second() else 2)
+                second()
+                os._exit(0)
             finally:  # second() raised
                 os._exit(1)
     try:
-        result = first()
+        first()
     except BaseException:
         if pid:
             import signal
@@ -321,30 +322,27 @@ def _in_halves(split: bool, first, second):
         raise
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else None
-    return result, code == 0 if code in (0, 2) else bool(second())
+    if code != 0:
+        second()
 
 
-def _decode_entries(fh, out: np.ndarray, size: int = -1) -> bool:
-    """Decode into out the [re, im] entries of fh's next size bytes, or of
-    all the rest; whether they are exactly out.size number pairs and the
-    range's text ends, up to JSON whitespace, with "]," or, in the rest,
-    with the list's "]]}".
+def _decode_entries(fh, out: np.ndarray, text: bytes) -> bool:
+    """Decode into out the [re, im] entries of text and of the rest of fh;
+    whether they are exactly out.size number pairs and the text ends, up to
+    JSON whitespace, with the list's "]]}".
 
-    Each read is cut after its last "],", and the text before the cut is
-    decoded into out before the next read.  The decoded slabs are lists
-    of number pairs only if every cut lies between two entries.  Bad
-    UTF-8, text that is not number pairs, a cut inside an entry or a wrong
-    count gives False.
+    Each read of _LOAD_SLAB bytes is cut after its last "],", and the text
+    before the cut is decoded into out before the next read.  The decoded
+    slabs are lists of number pairs only if every cut lies between two
+    entries.  Bad UTF-8, text that is not number pairs, a cut inside an
+    entry or a wrong count gives False.
     """
-    end = b"]" + _TAIL if size < 0 else b"],"
-    text, count = b"", 0
+    end, count = b"]" + _TAIL, 0
     try:
         while True:
-            more = fh.read(_LOAD_SLAB if size < 0 else min(_LOAD_SLAB, size))
-            size -= len(more)
+            more = fh.read(_LOAD_SLAB)
             text += more
-            last = not more or size == 0
-            if last:
+            if not more:
                 text = text.strip(b" \t\n\r")
                 if not text.endswith(end):
                     return False
@@ -354,29 +352,11 @@ def _decode_entries(fh, out: np.ndarray, size: int = -1) -> bool:
             part = _complex_pairs(json.loads(f"[{text[:hi].decode()}]"), "amplitude")
             out[count:count + part.size] = part  # past out.size entries: a ValueError
             count += part.size
-            if last:
+            if not more:
                 return count == out.size
             text = text[hi + 1:]
     except (ValueError, RecursionError):  # bad UTF-8, no pairs, a cut inside an entry or a string
         return False
-
-
-def _entry_offset(fh, count: int) -> int | None:
-    """The byte offset just after the count-th "]," from fh's position on,
-    or None if there are fewer."""
-    pos, carry = fh.tell(), b""
-    while chunk := fh.read(_LOAD_SLAB):
-        text = carry + chunk  # carry: a "]," may straddle two reads
-        found = text.count(b"],")
-        if found >= count:
-            at = -1
-            for _ in range(count):
-                at = text.index(b"],", at + 1)
-            return pos - len(carry) + at + 2
-        count -= found
-        pos += len(chunk)
-        carry = text[-1:]
-    return None
 
 
 def _streamed_state(fh, size: int, check_n) -> StateVector | None:
@@ -385,14 +365,9 @@ def _streamed_state(fh, size: int, check_n) -> StateVector | None:
 
     check_n gets the head's n before any amplitude is decoded.  The vector
     is allocated only if the file can hold 2**n of the shortest entry,
-    "[0,0],", and has 2**(n-1) "],".  The entries up to the 2**(n-1)-th
-    "]," and the rest are decoded by _decode_entries into the two halves
-    of the vector, the rest in a forked child, from its own open of fh.name,
-    when _splits(n); the vector then lies in a shared mmap.  A rest that
-    the child did not finish is decoded again here (see _in_halves), from
-    a new open too.  Without a split, fh reads on from the cut, so the
-    file is opened once.  A range that does not decode or an all-zero
-    vector gives None, for the whole parse to decide.
+    "[0,0],".  The rest of the file is decoded into it by _decode_entries
+    in one pass of reads from the head on.  Text that does not decode or an
+    all-zero vector gives None, for the whole parse to decide.
     """
     text = fh.read(len(_HEAD % 99))  # the longest head
     head = _SAVED_HEAD.match(text)
@@ -403,25 +378,9 @@ def _streamed_state(fh, size: int, check_n) -> StateVector | None:
         check_n(n)
     if 6 << n > size:
         return None
-    start, half = fh.seek(head.end()), 1 << (n - 1)
-    cut = _entry_offset(fh, half)
-    if cut is None:
-        return None
-    fh.seek(start)
-    split = _splits(n)
-    if split:  # a shared anonymous map: what the child writes there is in place here
-        import mmap
-        amps = np.frombuffer(mmap.mmap(-1, 16 << n), dtype=np.complex128)
-    else:
-        amps = np.empty(1 << n, dtype=np.complex128)
-
-    def second() -> bool:  # a forked child must not move fh's offset, which it shares
-        with open(fh.name, "rb") if split else contextlib.nullcontext(fh) as rest:
-            rest.seek(cut)
-            return _decode_entries(rest, amps[half:])
-
-    halves = _in_halves(split, lambda: _decode_entries(fh, amps[:half], cut - start), second)
-    return _wrap(n, amps) if all(halves) and np.any(amps) else None
+    amps = np.empty(1 << n, dtype=np.complex128)
+    decoded = _decode_entries(fh, amps, text[head.end():])
+    return _wrap(n, amps) if decoded and np.any(amps) else None
 
 
 def _saved_n(path) -> int:
@@ -437,41 +396,49 @@ def _saved_n(path) -> int:
     return int(head[1]) if head else 0
 
 
-def _read_json(path):
-    """json.loads of a UTF-8 file's whole text, for ops files and for state files
-    that load_state does not stream; malformed or too deeply nested JSON and
-    NaN/Infinity tokens raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.loads(fh.read(), parse_constant=_reject_constant)  # BOM check included
-        except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int past the digit limit
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+def _read_json(path, digest=None):
+    """json.loads of a UTF-8 file's whole text, with the newlines that a
+    text-mode read gives, for ops files and for state files that load_state
+    does not stream; malformed or too deeply nested JSON and NaN/Infinity
+    tokens raise ParseError.  digest, a hash object if given, is updated
+    with the file's bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digest is not None:
+        digest.update(data)
+    try:  # bad UTF-8 and an int past the digit limit are ValueErrors too; a BOM is refused
+        text = io.IncrementalNewlineDecoder(None, translate=True).decode(data.decode(), final=True)
+        del data  # json.loads holds the text only, as after a text-mode read
+        return json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def load_state(path, check_n=None) -> StateVector:
+def load_state(path, check_n=None, digest=None) -> StateVector:
     """from_json_dict(json.load(file)), streaming a file in save_state's layout.
 
-    A regular file in save_state's layout is decoded as two byte ranges,
-    cut after its 2**(n-1)-th "],", in slabs of about _LOAD_SLAB bytes,
-    each written into one preallocated vector before the next is read,
-    where json.load would hold the text and build 2**n two-float lists
-    first (about 130 bytes per amplitude): the peak is the vector plus a
-    few slabs, whatever the file's size.  From n = _SPLIT_N on, a forked
-    child decodes the second range meanwhile and is reaped before this
-    returns (see _splits); a range that the child did not finish is
-    decoded again here, in slabs.  check_n, if given, gets the n of
-    save_state's head before any amplitude is decoded, or of a file parsed
-    whole; what it raises propagates.  Any other file, or one whose text
-    fails to decode, is read again whole and parsed by json.loads.  Values
-    and errors, messages included, are those of from_json_dict(json.load(file)).
+    A regular file in save_state's layout is decoded in one pass of reads
+    of about _LOAD_SLAB bytes, each decoded into one preallocated vector
+    before the next is read, where json.load would hold the text and build
+    2**n two-float lists first (about 130 bytes per amplitude): the peak is
+    the vector plus a few slabs, whatever the file's size.  check_n, if
+    given, gets the n of save_state's head before any amplitude is decoded,
+    or of a file parsed whole; what it raises propagates.  Any other file,
+    or one whose text fails to decode, is read again whole and parsed by
+    json.loads.  Values and errors, messages included, are those of
+    from_json_dict(json.load(file)).  digest, a hash object if given, is
+    updated with each byte read from the file as it is read: it is the
+    digest of the file's bytes only if the stream decoded the state in its
+    one pass.
     """
     info = os.stat(path)
     if stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
         with open(path, "rb") as fh:
-            s = _streamed_state(fh, info.st_size, check_n)
+            s = _streamed_state(fh if digest is None else _Hashed(fh, digest),
+                                info.st_size, check_n)
         if s is not None:
             return s
-    s = from_json_dict(_read_json(path))
+    s = from_json_dict(_read_json(path, digest))
     if check_n is not None:
         check_n(s.n)
     return s
@@ -495,10 +462,15 @@ def _write_rows(fh, rows, sep: bytes) -> None:
 
 
 class _Hashed:
-    """A binary file whose writes also update a hash object."""
+    """A binary file whose reads and writes also update a hash object."""
 
     def __init__(self, fh, digest):
         self.fh, self.digest = fh, digest
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.fh.read(size)
+        self.digest.update(data)
+        return data
 
     def write(self, data) -> None:
         self.digest.update(data)
@@ -529,12 +501,11 @@ def _write_pairs(path, n: int, first, second, digest=None) -> None:
                 spare = stack.enter_context(
                     tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
 
-        def rest() -> bool:
+        def rest() -> None:
             if spare:  # a child that did not finish may have written part of it
                 spare.truncate(spare.seek(0))
             _write_rows(spare or out, second(), b", ")
             (spare or fh).flush()
-            return True
 
         _in_halves(bool(spare), lambda: _write_rows(out, first(), b""), rest)
         if spare:

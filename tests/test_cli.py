@@ -747,8 +747,10 @@ def test_reports_are_written_in_row_blocks(tmp_path):
 def _traced_peak(*argv):
     """The tracemalloc peak of one CLI run, its output discarded, after a
     warm-up run that fills the caches (sign tables, F tuples, imports).
-    State files are loaded and saved in one process, since the vector of a
-    load split across two lies in an mmap, which tracemalloc does not see."""
+    _SPLIT_N is raised past every n, so state files are parsed, not read
+    from sidecars, and saved in one process: a save split across two
+    encodes its second half in a child, whose memory tracemalloc does not
+    see."""
     with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull), \
             mock.patch.object(statevec, "_SPLIT_N", 64):
         main(list(argv))
@@ -803,7 +805,7 @@ def test_compare_holds_one_state_at_a_time(n18_pair):
 def _traced_hit_peak(*argv):
     """_traced_peak of a run that reads and writes sidecars: the warm-up run
     writes the sidecars of the state files, and the traced run reads them
-    and decodes no JSON amplitude.  As in _traced_peak, no I/O is split
+    and decodes no JSON amplitude.  As in _traced_peak, no save is split
     across two processes, but the sidecars are at work from _SPLIT_N on."""
     decoded, convert = [], statevec._complex_pairs
     with open(os.devnull, "w", encoding="utf-8") as devnull, redirect_stdout(devnull), \

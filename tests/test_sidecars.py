@@ -110,10 +110,41 @@ def test_a_same_length_rewrite_with_the_old_mtime_misses(tmp_path, capsys, monke
 
 
 def test_a_file_that_changes_while_it_is_parsed_gets_no_sidecar(tmp_path, monkeypatch):
-    # the digest before the parse is not the digest of what was parsed
+    # a same-length rewrite between two slab reads of the parse: the bytes
+    # parsed are not the bytes hashed for the lookup
     path = tmp_path / "a.json"
     save_state(random_state(N, 1), path)
-    later = random_state(N, 2)
+    text = bytearray(path.read_bytes())
+    at = text.rindex(b"]]}") - 1  # the last digit of the last imaginary part
+    text[at] = ord("1") if text[at] != ord("1") else ord("2")
+    read, rewrites = statevec._Hashed.read, []
+
+    def read_then_rewrite(self, size=-1):
+        data = read(self, size)
+        if size == statevec._LOAD_SLAB and not rewrites:
+            rewrites.append(size)
+            with open(path, "r+b") as fh:
+                fh.write(text)
+        return data
+    monkeypatch.setattr(statevec._Hashed, "read", read_then_rewrite)
+    assert len(text) > 2 * statevec._LOAD_SLAB
+    loaded = sidecars.load(path, N)
+    assert rewrites and listing(tmp_path) is None
+    assert same_bits(loaded.amplitudes, load_state(path).amplitudes)  # the rewritten values
+    assert not same_bits(loaded.amplitudes, random_state(N, 1).amplitudes)
+    monkeypatch.setattr(statevec._Hashed, "read", read)
+    assert same_bits(sidecars.load(path, N).amplitudes, loaded.amplitudes)
+    assert_sidecar_is_the_parse(path)
+
+
+def test_a_file_rewritten_after_its_parse_keeps_the_sidecar_of_the_bytes_parsed(tmp_path,
+                                                                                monkeypatch):
+    # the parse hashed the bytes it decoded, so its sidecar maps their digest;
+    # the rewritten file misses it and loads its new values
+    path = tmp_path / "a.json"
+    first, later = random_state(N, 1), random_state(N, 2)
+    save_state(first, path)
+    old = sidecar_of(path)
     parse = statevec.load_state
 
     def parse_then_rewrite(*args):
@@ -121,11 +152,31 @@ def test_a_file_that_changes_while_it_is_parsed_gets_no_sidecar(tmp_path, monkey
         save_state(later, path)
         return s
     monkeypatch.setattr(statevec, "load_state", parse_then_rewrite)
-    assert same_bits(sidecars.load(path, N).amplitudes, random_state(N, 1).amplitudes)
-    assert listing(tmp_path) is None
+    assert same_bits(sidecars.load(path, N).amplitudes, first.amplitudes)
+    assert same_bits(np.load(old, allow_pickle=False), first.amplitudes)
     monkeypatch.setattr(statevec, "load_state", parse)
     assert same_bits(sidecars.load(path, N).amplitudes, later.amplitudes)
+    assert not old.exists()  # the new sidecar replaced it
     assert_sidecar_is_the_parse(path)
+
+
+def test_a_miss_reads_the_file_twice_and_a_hit_once(tmp_path, monkeypatch):
+    # a miss hashes the file for the lookup, then streams it once, hashing
+    # each byte as it is read; nothing hashes it again after the parse
+    path = tmp_path / "a.json"
+    save_state(random_state(N, 1), path)
+    digests, hashed = [], []
+    file_digest, read = sidecars._file_digest, statevec._Hashed.read
+    monkeypatch.setattr(sidecars, "_file_digest", lambda fh: digests.append(1) or file_digest(fh))
+    monkeypatch.setattr(statevec._Hashed, "read", lambda self, size=-1:
+                        hashed.append(read(self, size)) or hashed[-1])
+    monkeypatch.setattr(statevec, "_read_json", lambda *args: pytest.fail("parsed whole"))
+    assert same_bits(sidecars.load(path, N).amplitudes, random_state(N, 1).amplitudes)
+    assert digests == [1] and b"".join(hashed) == path.read_bytes()
+    assert_sidecar_is_the_parse(path)
+    del digests[:], hashed[:]
+    assert same_bits(sidecars.load(path, N).amplitudes, random_state(N, 1).amplitudes)
+    assert digests == [1] and hashed == []
 
 
 def _damage(path, how, monkeypatch):
@@ -293,3 +344,13 @@ def test_a_file_in_another_layout_is_parsed_and_gets_no_sidecar(tmp_path, capsys
     for _ in range(2):
         assert run(capsys, "invariant", "--input", "pretty.json") == want
     assert listing(tmp_path) is None and decoded == [1 << N] * 2
+    # save_state's head, but a key after the list: the stream reads every byte
+    # and fails, and the whole parse, from a second read, is not what was hashed
+    with open("a.json", "rb") as fh, open("keyed.json", "wb") as out:
+        out.write(fh.read().rstrip().removesuffix(b"}") + b', "x": 1}')
+    assert statevec._saved_n("keyed.json") == N
+    for _ in range(2):
+        del decoded[:]
+        assert run(capsys, "invariant", "--input", "keyed.json") == want
+        assert len(decoded) > 1 and decoded[-1] == 1 << N  # streamed, then parsed whole
+    assert listing(tmp_path) is None

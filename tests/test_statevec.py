@@ -597,8 +597,8 @@ def test_load_state_is_the_whole_list_parse(tmp_path, monkeypatch, slab):
     assert load_outcome(load_state, path) == load_outcome(json_load_state, path)
     if slab is None:
         whole_reads = []
-        monkeypatch.setattr(statevec, "_read_json", lambda p, read=statevec._read_json:
-                            whole_reads.append(p) or read(p))
+        monkeypatch.setattr(statevec, "_read_json", lambda p, *digest, read=statevec._read_json:
+                            whole_reads.append(p) or read(p, *digest))
         for data, streamed in mid_stream_files(path.read_bytes()):
             path.write_bytes(data)
             del whole_reads[:]
@@ -633,8 +633,7 @@ def test_load_state_calls_check_n_on_every_file(tmp_path):
 
 
 def test_a_load_opens_its_file_once_here(tmp_path, monkeypatch, forks):
-    # below _SPLIT_N the second range is read on from the first's handle; from
-    # _SPLIT_N on the child opens the file itself, which this process cannot count
+    # one pass reads the file from one handle, and no child is forked for it
     opens = []
 
     def counting_open(file, *args, **kwargs):
@@ -647,7 +646,7 @@ def test_a_load_opens_its_file_once_here(tmp_path, monkeypatch, forks):
         with monkeypatch.context() as patch:
             patch.setattr(statevec, "open", counting_open, raising=False)
             loaded = load_state(path)
-        assert opens == [path] and len(forks) == (n >= statevec._SPLIT_N), (n, opens)
+        assert opens == [path] and forks == [], (n, opens)
         del opens[:]
         np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64),
                                       s.amplitudes.view(np.uint64))
@@ -658,14 +657,11 @@ def test_load_state_holds_one_slab_of_pair_lists(tmp_path, monkeypatch):
     # was 12.05 MiB for the 3.01 MiB n=16 file, text plus 9 vectors.  Reading
     # the whole text held its bytes and its str at once, twice the text, and
     # at n=18 the peak was 20.4 MiB above the vector.  The stream holds the
-    # vector and a few slabs, whatever the file's size.  A load split in two
-    # holds its vector in an mmap, which tracemalloc does not see, and a few
-    # slabs in each process.
-    for split_n, n in ((statevec._SPLIT_N, 16), (statevec._SPLIT_N, 18), (64, 16), (64, 18)):
-        monkeypatch.setattr(statevec, "_SPLIT_N", split_n)
+    # vector and a few slabs, whatever the file's size.
+    for n in (16, 18):
         path = tmp_path / f"r{n}.json"
         save_state(random_state(n, 1), path)
-        size, vector = path.stat().st_size, 0 if n >= split_n else 16 << n
+        size, vector = path.stat().st_size, 16 << n
         load_state(path)
         tracemalloc.start()
         try:
@@ -673,9 +669,8 @@ def test_load_state_holds_one_slab_of_pair_lists(tmp_path, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * size + vector, (split_n, n, (peak - size) / (16 << n))
-        assert peak - vector < 12 * statevec._LOAD_SLAB, (
-            split_n, n, (peak - vector) / statevec._LOAD_SLAB)
+        assert peak < 2 * size + vector, (n, (peak - size) / vector)
+        assert peak - vector < 12 * statevec._LOAD_SLAB, (n, (peak - vector) / statevec._LOAD_SLAB)
 
 
 def test_save_state_holds_no_copy_of_the_vector(tmp_path):
@@ -745,14 +740,14 @@ SPLIT_SEEDS = (0, 7, 2**31 - 1)
 
 
 def test_split_and_serial_io_agree(tmp_path, monkeypatch, forks):
-    # from _SPLIT_N on a save, a load and make random fork one child each;
+    # from _SPLIT_N on a save and make random fork one child each, a load none;
     # the serial path runs with the size test patched above n
     split_n = statevec._SPLIT_N
     for n in range(split_n - 1, 21):
         s = random_state(n, n)
         split = io_outcomes(tmp_path, s, SPLIT_SEEDS)
         assert split[1] == (n, hashlib.sha256(s.amplitudes.tobytes()).hexdigest())
-        assert len(forks) == (2 + len(SPLIT_SEEDS) if n >= split_n else 0), n
+        assert len(forks) == (1 + len(SPLIT_SEEDS) if n >= split_n else 0), n
         del forks[:]
         monkeypatch.setattr(statevec, "_SPLIT_N", n + 1)
         assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == split, n
@@ -776,17 +771,17 @@ def test_a_later_first_row_draws_that_slice_of_the_draw(n):
                                       rows[first:stop].view(np.uint64), (first, stop))
 
 
-def test_damage_in_one_half_gives_the_serial_error(tmp_path, monkeypatch, forks):
+def test_damage_in_one_half_gives_the_serial_error(tmp_path, forks):
+    # damage before or after the middle entry stops the one pass, and the
+    # whole parse gives the error
     n = statevec._SPLIT_N + 1
     path = tmp_path / "s.json"
     save_state(random_state(n, 3), path)
     del forks[:]
     data = path.read_bytes()
-    with open(path, "rb") as fh:
-        fh.seek(data.index(b"[[") + 1)
-        cut = statevec._entry_offset(fh, 1 << (n - 1))
-    past = data.index(b"], [", (cut + len(data)) // 2) + 3  # an entry well past the cut
-    early = data.index(b"], [", cut // 2) + 3  # one well before it
+    middle = data.index(b"], [", len(data) // 2)
+    past = data.index(b"], [", (middle + len(data)) // 2) + 3  # an entry well past the middle
+    early = data.index(b"], [", middle // 2) + 3  # one well before it
     cases = [data[:past + 5],  # truncated
              data[:past] + b"[NaN, 0]" + data[data.index(b"]", past) + 1:],
              data[:past + 2] + b"\xff" + data[past + 3:],
@@ -795,35 +790,41 @@ def test_damage_in_one_half_gives_the_serial_error(tmp_path, monkeypatch, forks)
              data[:early] + b"[1, 0, 0]" + data[data.index(b"]", early) + 1:]]
     for bad in cases:
         path.write_bytes(bad)
-        split = load_outcome(load_state, path)
-        assert len(forks) == 1
-        del forks[:]
-        assert_reaped()
-        monkeypatch.setattr(statevec, "_SPLIT_N", n + 1)
-        serial = load_outcome(load_state, path)
-        monkeypatch.setattr(statevec, "_SPLIT_N", n)
-        assert split[0] is ParseError
-        assert split == serial == load_outcome(json_load_state, path), bad[-80:]
-
+        outcome = load_outcome(load_state, path)
+        assert outcome[0] is ParseError
+        assert outcome == load_outcome(json_load_state, path), bad[-80:]
+    assert forks == []
 
 
 def test_a_second_half_that_does_not_decode_is_decoded_once(tmp_path, monkeypatch, forks):
-    # the child's false is final: this process decodes the first range only,
-    # and the whole parse gives the error
+    # a damaged file is streamed once, in one _decode_entries call, and then
+    # parsed whole, which gives the error
     n = statevec._SPLIT_N + 1
     path = tmp_path / "s.json"
     save_state(random_state(n, 3), path)
     data = path.read_bytes()
     past = data.index(b"], [", len(data) * 3 // 4) + 3  # an entry in the second half
     path.write_bytes(data[:past] + b"[NaN, 0]" + data[data.index(b"]", past) + 1:])
-    me, decoded = os.getpid(), []
+    me, decoded, whole_reads = os.getpid(), [], []
     monkeypatch.setattr(statevec, "_decode_entries", lambda *args, decode=statevec._decode_entries:
                         decoded.append(os.getpid()) or decode(*args))
+    monkeypatch.setattr(statevec, "_read_json", lambda p, *digest, read=statevec._read_json:
+                        whole_reads.append(p) or read(p, *digest))
     del forks[:]
     outcome = load_outcome(load_state, path)
     assert outcome[0] is ParseError and outcome == load_outcome(json_load_state, path)
-    assert decoded == [me] and len(forks) == 1
-    assert_reaped()
+    assert decoded == [me] and whole_reads == [path] and forks == []
+    # the whole parse holds the text as json.load does, not the file's bytes too
+    peaks = []
+    for load in (load_state, json_load_state):
+        tracemalloc.start()
+        try:
+            load_outcome(load, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] + len(data) / 4, [peak / len(data) for peak in peaks]
+
 
 def fail_children(monkeypatch, how):
     """Make every forked child fail; return the children's pids.  "exit": it
@@ -856,73 +857,45 @@ def fail_children(monkeypatch, how):
 
 def test_a_failed_child_leaves_the_outcome(tmp_path, monkeypatch):
     # this process does the half that the child did not finish: a save and
-    # make random write the serial bytes and norm bits, a load the same state
+    # make random write the serial bytes and norm bits
     s = random_state(statevec._SPLIT_N + 2, 5)
     want = io_outcomes(tmp_path, s, SPLIT_SEEDS)
     for how in ("exit", "kill", "late"):
         with monkeypatch.context() as patch:
             pids = fail_children(patch, how)
             assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want, how
-        assert len(pids) == 2 + len(SPLIT_SEEDS), how
+        assert len(pids) == 1 + len(SPLIT_SEEDS), how
 
     def no_process():  # out of process ids: this process does both halves
         pids.append(0)
         raise BlockingIOError("fork: Resource temporarily unavailable")
     monkeypatch.setattr(os, "fork", no_process)
     assert io_outcomes(tmp_path, s, SPLIT_SEEDS) == want
-    assert pids.count(0) == 2 + len(SPLIT_SEEDS)
-
-
-@pytest.mark.parametrize("how", ["exit", "kill"])
-def test_a_load_whose_child_fails_decodes_its_half_in_slabs(tmp_path, monkeypatch, how):
-    # the half that the child did not finish is decoded here, slab by slab,
-    # never by the whole parse, which would hold the text and 2**n pair lists
-    s = random_state(statevec._SPLIT_N + 2, 5)
-    path = tmp_path / "s.json"
-    save_state(s, path)
-    whole_reads = []
-    monkeypatch.setattr(statevec, "_read_json", lambda p, read=statevec._read_json:
-                        whole_reads.append(p) or read(p))
-    pids = fail_children(monkeypatch, how)
-    tracemalloc.start()
-    try:
-        loaded = load_state(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert_reaped()
-    assert len(pids) == 1 and whole_reads == []
-    np.testing.assert_array_equal(loaded.amplitudes.view(np.uint64), s.amplitudes.view(np.uint64))
-    # the vector is in an mmap, which tracemalloc does not see
-    assert peak < 12 * statevec._LOAD_SLAB, peak / statevec._LOAD_SLAB
+    assert pids.count(0) == 1 + len(SPLIT_SEEDS)
 
 
 def test_a_failing_first_half_kills_and_reaps_its_child(forks):
     me, ran = os.getpid(), []
 
-    def here_only():  # raises in a child, which then exits 1
+    def here():  # what this process ran; a child's runs leave no trace here
         ran.append(os.getpid())
+
+    def here_only():  # raises in a child, which then exits 1
+        here()
         if os.getpid() != me:
             raise RuntimeError("second half")
-        return True
-
-    def true_here_only():  # false in a child, which then exits 2
-        ran.append(os.getpid())
-        return os.getpid() == me
-    assert statevec._in_halves(True, lambda: "first", lambda: 1) == ("first", True)
-    assert statevec._in_halves(True, lambda: "first", lambda: 0) == ("first", False)
-    # a failed child's second() runs here; the child's own run left no trace here
-    assert statevec._in_halves(True, lambda: "first", here_only) == ("first", True)
-    assert ran == [me] and len(forks) == 3
-    # a child's false is final: second() does not run here, though it would return true
+    # a child that finished: second() does not run here
+    statevec._in_halves(True, lambda: ran.append("first"), here)
+    assert ran == ["first"] and len(forks) == 1
+    # a failed child's second() runs here, after first()
     del ran[:]
-    assert statevec._in_halves(True, lambda: "first", true_here_only) == ("first", False)
-    assert ran == [] and len(forks) == 4
+    statevec._in_halves(True, lambda: ran.append("first"), here_only)
+    assert ran == ["first", me] and len(forks) == 2
     assert_reaped()
     # no split: no fork, and second() runs here after first()
     del ran[:]
-    assert statevec._in_halves(False, lambda: ran.append("first") or 1, here_only) == (1, True)
-    assert ran == ["first", me] and len(forks) == 4
+    statevec._in_halves(False, lambda: ran.append("first"), here_only)
+    assert ran == ["first", me] and len(forks) == 2
 
     def fails_here():  # an error of the run here propagates; the child is reaped by then
         if os.getpid() != me:
@@ -932,14 +905,14 @@ def test_a_failing_first_half_kills_and_reaps_its_child(forks):
         raise ValueError("second half")
     with pytest.raises(ValueError, match="second half"):
         statevec._in_halves(True, lambda: "first", fails_here)
-    assert len(forks) == 5
+    assert len(forks) == 3
     assert_reaped()
     # first() raising kills the child and reaps it, and second() does not run here
     start = time.monotonic()
     with pytest.raises(ZeroDivisionError):
         statevec._in_halves(True, lambda: 1 / 0, lambda: time.sleep(60))
     assert time.monotonic() - start < 30
-    assert len(forks) == 6
+    assert len(forks) == 4
     assert_reaped()
 
 
@@ -958,7 +931,7 @@ def test_only_the_fork_warning_of_python_3_12_is_silenced(monkeypatch, forks):
         monkeypatch.setattr(os, "fork", warning_fork(
             "This process (pid=%d) is multi-threaded, use of fork() may lead to deadlocks"
             " in the child."))
-        assert statevec._in_halves(True, lambda: 1, lambda: True) == (1, True)
+        statevec._in_halves(True, lambda: 1, lambda: True)
         assert len(forks) == 1
         monkeypatch.setattr(os, "fork", warning_fork("fork() in pid %d is deprecated"))
         with pytest.raises(DeprecationWarning, match="is deprecated"):
