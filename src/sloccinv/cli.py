@@ -17,6 +17,12 @@ its GEMM partition, so no output bit depends on it.
 The commands that write or load state files of n >= statevec._SPLIT_N
 qubits keep a binary sidecar of each in .sloccinv/ beside it, so that each
 file's JSON is parsed at most once (see sloccinv.sidecars).
+
+A CLI process, the console script or `python -m sloccinv.cli`, runs
+run(): main(), then a flush of stdout and stderr, then os._exit.  So it
+skips the interpreter's teardown: freeing every module, numpy's
+included, which no output needs.  main() returns its exit code, for
+callers in a process that goes on.
 """
 
 from __future__ import annotations
@@ -447,5 +453,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """main() as a process, ended by os._exit once stdout and stderr are
+    flushed (see the module docstring).  If a flush raises, as on a closed
+    pipe, sys.exit ends it as before: the interpreter's exit flushes again
+    and reports the error."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # any: the interpreter's exit meets it again, as without run()
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

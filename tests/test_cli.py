@@ -610,8 +610,8 @@ def test_max_n_is_checked_from_the_head_of_a_saved_file(tmp_path, capsys, monkey
     n = statevec._SPLIT_N
     Path("ops.json").write_text(json.dumps({"ops": ops["ops"][:1] * n}))
     assert run(capsys, "make", "random", "--n", str(n), "-o", "big.json")[0] == 0
-    hashed, sha256 = [], sidecars._sha256
-    monkeypatch.setattr(sidecars, "_sha256", lambda: hashed.append(1) or sha256())
+    hashed, blake2b = [], sidecars._blake2b
+    monkeypatch.setattr(sidecars, "_blake2b", lambda: hashed.append(1) or blake2b())
     del converted[:]
     for argv in (["invariant", "--input", "big.json"], ["criteria", "--input", "big.json"],
                  ["compare", "big.json", "big.json"],
@@ -829,7 +829,7 @@ def test_make_random_holds_no_vector_when_it_writes_a_sidecar(tmp_path):
     peak = _traced_hit_peak("make", "random", "--n", "18", "--seed", "1", "-o", str(path))
     assert peak < VECTOR_18 / 4, peak / VECTOR_18
     assert [p.name for p in (tmp_path / sidecars.DIRECTORY).iterdir()] == [
-        f"r18.json.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"]
+        f"r18.json.{hashlib.blake2b(path.read_bytes(), digest_size=32).hexdigest()}.npy"]
 
 
 def test_apply_from_a_sidecar_folds_the_loaded_vector_in_place(tmp_path, n18_pair):
@@ -1000,26 +1000,120 @@ COMMAND_MODULES = [
 ]
 
 
-def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    child = ("import json, runpy, sys\n"
-             "try:\n"
-             "    runpy.run_module('sloccinv.cli', run_name='__main__', alter_sys=True)\n"
-             "finally:\n"
-             "    print(json.dumps(sorted(m for m in sys.modules if m.startswith('sloccinv'))),\n"
-             "          file=sys.stderr)\n")
+def _child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, and without
+    PYTHONUNBUFFERED: a child's stdout to a pipe or file is block-buffered."""
     src = str(Path(statevec.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))}
+
+
+# `python -m sloccinv.cli ARGV...`, except that os._exit, which ends the process,
+# first prints the sorted names in sys.modules as the last line of stderr
+_MODULES_AT_EXIT = ("import json, os, runpy, sys\n"
+                    "exit = os._exit\n"
+                    "def report(code):\n"
+                    "    print(json.dumps(sorted(sys.modules)), file=sys.stderr, flush=True)\n"
+                    "    exit(code)\n"
+                    "os._exit = report\n"
+                    "runpy.run_module('sloccinv.cli', run_name='__main__', alter_sys=True)\n")
+
+
+def _modules_at_exit(cwd, *argv) -> set:
+    """The modules that `python -m sloccinv.cli argv`, run in cwd, has imported
+    when it ends with exit code 0."""
+    done = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, *argv], cwd=cwd,
+                          env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, (argv, done.stderr)
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     with open(tmp_path / "ops.json", "w", encoding="utf-8") as fh:
         json.dump(slocc.ops_json_dict(slocc.random_chain(8, 3, unit_det=True)), fh)
     for command, modules in COMMAND_MODULES:
-        done = subprocess.run([sys.executable, "-c", child, *command.split()], cwd=tmp_path,
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, (command, done.stderr)
-        imported = json.loads(done.stderr.splitlines()[-1])
+        imported = {m for m in _modules_at_exit(tmp_path, *command.split())
+                    if m.startswith("sloccinv")}
         want = {"sloccinv", "sloccinv.errors", "sloccinv.statevec",
                 *(f"sloccinv.{m}" for m in modules)}
-        assert set(imported) == want, command
+        assert imported == want, command
+
+
+def test_a_large_cli_load_or_save_imports_no_hashlib(tmp_path):
+    # importing hashlib loads OpenSSL's _hashlib, about 3.4 MiB of RSS per
+    # process; the sidecar digests come from CPython's own _blake2, on a
+    # miss, on a hit and on a save
+    n = statevec._SPLIT_N
+    save_state(random_state(n, 1), tmp_path / "a.json")
+    with open(tmp_path / "ops.json", "w", encoding="utf-8") as fh:
+        json.dump(slocc.ops_json_dict(slocc.random_chain(n, 3, unit_det=True)), fh)
+    for command in ("invariant --input a.json", "compare a.json a.json",
+                    "apply --input a.json --ops ops.json --output b.json"):
+        modules = _modules_at_exit(tmp_path, *command.split())
+        assert "sloccinv.sidecars" in modules, command
+        assert not {"hashlib", "_hashlib"} & modules, command
+    assert sorted(p.name.split(".")[0] for p in (tmp_path / sidecars.DIRECTORY).iterdir()) \
+        == ["a", "b"]
+
+
+# How a process runs the CLI: through run(), as `python -m sloccinv.cli` and
+# the console script do, or through sys.exit(main()), which ends with the
+# interpreter's teardown
+_ENTRIES = {"-m": ["-m", "sloccinv.cli"],
+            "script": ["-c", "import sys; from sloccinv.cli import run; sys.exit(run())"],
+            "sys.exit": ["-c", "import sys; from sloccinv.cli import main; sys.exit(main())"]}
+
+
+def test_a_cli_process_writes_and_returns_what_main_does(tmp_path, capsys, monkeypatch):
+    # run() ends the process with os._exit once it has flushed: the 17.7 MB
+    # invariant report of an n=6 state reaches the pipe whole, and the exit
+    # code and the one error line are main()'s; stdout is block-buffered, so
+    # its last block leaves only in that flush
+    monkeypatch.chdir(tmp_path)
+    save_state(random_state(6, 7), "c6.json")
+    save_state(ghz(3), "g3.json")
+    save_state(w_state(3), "w3.json")
+    cases = [(["invariant", "--input", "c6.json"], 0),
+             (["make", "ghz", "--n", "3", "-o", "g3.json"], 0),
+             (["compare", "g3.json", "w3.json"], 2),
+             (["invariant", "--input", "missing.json"], 1),
+             (["verify", "--theorem", "1", "--n", "4", "--trials", "0"], 1)]
+    for argv, want in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == want, argv
+        if argv == cases[0][0]:  # far beyond what a pipe buffers
+            assert len(out) > 16 << 20
+        if code == 1:
+            assert_one_error_line(code, out, err)
+        for entry in ("-m", "script"):
+            done = subprocess.run([sys.executable, *_ENTRIES[entry], *argv],
+                                  env=_child_env(), capture_output=True)
+            assert (done.returncode, hashlib.sha256(done.stdout).hexdigest(),
+                    done.stderr.decode()) == \
+                (code, hashlib.sha256(out.encode()).hexdigest(), err), (entry, argv)
+
+
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+@pytest.mark.parametrize("argv", [["make", "ghz", "--n", "3", "-o", "g3.json"],
+                                  ["invariant", "--input", "c6.json"]])
+def test_a_cli_process_with_stdout_closed_ends_as_sys_exit_of_main(tmp_path, argv, unbuffered):
+    # a flush that fails hands the exit to the interpreter, as before run():
+    # the same exit status and stderr, whether a write fails within main()
+    # or the buffered line at the exit flush
+    save_state(random_state(6, 7), tmp_path / "c6.json")
+    env = {**_child_env(), **unbuffered}
+    ends = {}
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe fails with EPIPE
+    try:
+        for entry, head in _ENTRIES.items():
+            done = subprocess.run([sys.executable, *head, *argv], cwd=tmp_path, stdout=write,
+                                  stderr=subprocess.PIPE, env=env, text=True)
+            ends[entry] = done.returncode, done.stderr
+    finally:
+        os.close(write)
+    assert ends["-m"] == ends["script"] == ends["sys.exit"]
+    assert ends["-m"][0] != 0 and "Broken pipe" in ends["-m"][1], ends
 
 
 def test_the_tol_default_is_the_invariant_default():

@@ -1,6 +1,6 @@
 """The CLI's binary sidecars: a state file's vector kept as a .npy in a
-hidden directory beside it, named by the SHA-256 of the file's bytes, and
-read by CLI loads instead of the JSON."""
+hidden directory beside it, named by the BLAKE2b-256 of the file's bytes,
+and read by CLI loads instead of the JSON."""
 
 import hashlib
 import json
@@ -31,7 +31,7 @@ def listing(directory):
 
 def sidecar_of(path):
     """Where the sidecar of path's current bytes lies."""
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.blake2b(Path(path).read_bytes(), digest_size=32).hexdigest()
     return Path(path).parent / sidecars.DIRECTORY / f"{Path(path).name}.{digest}.npy"
 
 
@@ -107,6 +107,22 @@ def test_a_same_length_rewrite_with_the_old_mtime_misses(tmp_path, capsys, monke
     warm = run(capsys, "invariant", "--input", "a.json")
     shutil.rmtree(sidecars.DIRECTORY)
     assert run(capsys, "invariant", "--input", "a.json") == warm
+
+
+def test_a_sidecar_named_by_the_sha256_of_its_file_is_replaced(tmp_path, capsys, monkeypatch,
+                                                               decoded):
+    # sidecars were once named by the SHA-256 of their file: such a name is a
+    # miss, the load parses the file, and its sidecar replaces the old one
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "make", "random", "--n", str(N), "--seed", "6", "-o", "a.json")[0] == 0
+    path = tmp_path / "a.json"
+    warm = run(capsys, "invariant", "--input", "a.json")
+    assert warm[0] == 0 and decoded == []
+    old = sidecar_of(path).with_name(f"a.json.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy")
+    sidecar_of(path).rename(old)
+    assert run(capsys, "invariant", "--input", "a.json") == warm and sum(decoded) == 1 << N
+    assert listing(tmp_path) == [sidecar_of(path).name]
+    assert_sidecar_is_the_parse(path)
 
 
 def test_a_file_that_changes_while_it_is_parsed_gets_no_sidecar(tmp_path, monkeypatch):
